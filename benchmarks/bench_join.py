@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 
 from repro.catalogs import build_testbed, paper_universities
-from repro.xmlmodel import XmlElement, serialize
+from repro.xquery.differential import render
 from repro.xquery.plan import compile_query
 from repro.xquery.stats import collect_statistics
 
@@ -49,11 +49,6 @@ JOINS = [
      '$b in doc("gatech.xml")/gatech/Course '
      "where $a/Title = $b/Title return $a/CourseNum"),
 ]
-
-
-def _render(seq):
-    return [serialize(item) if isinstance(item, XmlElement) else repr(item)
-            for item in seq]
 
 
 def _time_ns(fn, repeat):
@@ -84,8 +79,8 @@ def run_bench(quick=False, min_speedup=5.0):
         looped = compile_query(source, statistics=statistics,
                                join_search=False)
 
-        joined_result = _render(joined.execute(documents))
-        looped_result = _render(looped.execute(documents))
+        joined_result = render(joined.execute(documents))
+        looped_result = render(looped.execute(documents))
         identical = joined_result == looped_result
         if not identical:
             divergences.append(name)

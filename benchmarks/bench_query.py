@@ -31,33 +31,21 @@ from pathlib import Path
 
 from repro.catalogs import build_testbed, paper_universities
 from repro.core import QUERIES
-from repro.xmlmodel import XmlElement, serialize
 from repro.xquery import shared_plan_cache
 from repro.xquery.context import DynamicContext
-from repro.xquery.errors import XQueryError
+from repro.xquery.differential import outcome
 from repro.xquery.evaluator import evaluate
 from repro.xquery.parser import parse_query
 
 
-def _render(seq):
-    return [serialize(item) if isinstance(item, XmlElement) else repr(item)
-            for item in seq]
-
-
 def _baseline_once(source, documents):
     """One pre-plan query call: parse, then tree-walk the AST."""
-    try:
-        return _render(evaluate(parse_query(source),
-                                DynamicContext(documents=documents)))
-    except XQueryError as exc:
-        return ["raised", type(exc).__name__]
+    return outcome(lambda: evaluate(parse_query(source),
+                                    DynamicContext(documents=documents)))
 
 
 def _planned_once(plan, documents):
-    try:
-        return _render(plan.execute(documents))
-    except XQueryError as exc:
-        return ["raised", type(exc).__name__]
+    return outcome(lambda: plan.execute(documents))
 
 
 def _time_ns(fn, repeat):

@@ -43,7 +43,7 @@ from repro.core import QUERIES
 from repro.xmlmodel import XmlElement, parse_xml, serialize, serialize_digest
 from repro.xquery import PlanCache
 from repro.xquery.context import DynamicContext
-from repro.xquery.errors import XQueryError
+from repro.xquery.differential import outcome
 from repro.xquery.evaluator import evaluate
 from repro.xquery.parser import parse_query
 
@@ -117,24 +117,13 @@ def _fast_serialize_and_hash(documents) -> list[str]:
             for document in documents.values()]
 
 
-def _render(seq):
-    return [serialize(item) if isinstance(item, XmlElement) else repr(item)
-            for item in seq]
-
-
 def _interpreted_once(source, documents):
-    try:
-        return _render(evaluate(parse_query(source),
-                                DynamicContext(documents=documents)))
-    except XQueryError as exc:
-        return ["raised", type(exc).__name__]
+    return outcome(lambda: evaluate(parse_query(source),
+                                    DynamicContext(documents=documents)))
 
 
 def _planned_once(plan, documents):
-    try:
-        return _render(plan.execute(documents))
-    except XQueryError as exc:
-        return ["raised", type(exc).__name__]
+    return outcome(lambda: plan.execute(documents))
 
 
 def _time_ns(fn, repeat):

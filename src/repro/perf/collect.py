@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..catalogs import build_testbed, paper_universities
 from ..core import QUERIES
-from ..xmlmodel import XmlElement, serialize
+from ..xquery.differential import render
 from ..xquery.plan import Plan, compile_query
 from ..xquery.plan_cache import PlanCache
 from ..xquery.results import ResultCache
@@ -106,11 +106,6 @@ def _stats_ns(samples: Sequence[int]) -> dict:
         "mean": sum(ordered) // count,
         "samples": count,
     }
-
-
-def _render_items(items: Iterable) -> tuple:
-    return tuple(serialize(item) if isinstance(item, XmlElement)
-                 else repr(item) for item in items)
 
 
 def _operator_rows(plan: Plan) -> list[dict]:
@@ -290,7 +285,7 @@ def _collect_cell(documents, content_fp: str, scale: int, workers: int,
             # so nothing else can pick it up.
             plan = plan_cache.get(source, statistics=statistics)
             plan_cache.get(source, statistics=statistics)
-            reference_items = _render_items(plan.execute(documents))
+            reference_items = render(plan.execute(documents))
             if query_label in perturbed:
                 plan = compile_query(source, perturb=True)
             elif query_label in estimate_perturbed and statistics is not None:
@@ -303,7 +298,7 @@ def _collect_cell(documents, content_fp: str, scale: int, workers: int,
             # agree item for item before any timing is recorded.
             cached_items = result_cache.get_or_compute(
                 plan.identity, content_fp,
-                lambda: _render_items(plan.execute(documents)))
+                lambda: render(plan.execute(documents)))
             result_cache.get_or_compute(plan.identity, content_fp,
                                         lambda: ())
             if cached_items != reference_items:

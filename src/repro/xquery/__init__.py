@@ -24,15 +24,13 @@ points for.
 
 :class:`Query` and :func:`run_query` remain as thin wrappers over the
 plan facade (with an LRU :class:`PlanCache` underneath, so repeated runs
-of the same text skip parsing and lowering). Importing ``parse_query`` or
-``evaluate`` from this package still works but raises a
-``DeprecationWarning``; import them from :mod:`repro.xquery.parser` /
-:mod:`repro.xquery.evaluator` directly, or use the plan facade.
+of the same text skip parsing and lowering). The raw ``parse_query`` and
+``evaluate`` live in :mod:`repro.xquery.parser` /
+:mod:`repro.xquery.evaluator`; new code should use the plan facade.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Mapping
 
 from ..xmlmodel import XmlDocument
@@ -96,15 +94,6 @@ class Query:
         plan = shared_plan_cache().get(self.source, functions)
         return plan.execute(documents, variables)
 
-    def explain(self) -> str:
-        warnings.warn(
-            "Query.explain() is deprecated; use Plan.explain() / "
-            "Plan.explain_data() on the compiled plan (Query.plan)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.plan.explain()
-
     def __repr__(self) -> str:
         summary = " ".join(self.source.split())
         if len(summary) > 60:
@@ -119,32 +108,6 @@ def run_query(source: str,
     """One-shot convenience wrapper over the plan facade (cached)."""
     return shared_plan_cache().get(source, functions).execute(
         documents, variables)
-
-
-_DEPRECATED = {
-    "parse_query": ("repro.xquery.parser", "parse_query"),
-    "evaluate": ("repro.xquery.evaluator", "evaluate"),
-}
-
-
-def __getattr__(name: str):
-    """PEP 562 hook deprecating the pre-planner entry points.
-
-    ``from repro.xquery import parse_query, evaluate`` keeps working but
-    warns; new code should use :func:`compile` / :class:`Plan` or import
-    the internals from their defining modules.
-    """
-    if name in _DEPRECATED:
-        module_name, attr = _DEPRECATED[name]
-        warnings.warn(
-            f"importing {attr!r} from 'repro.xquery' is deprecated; use "
-            f"'repro.xquery.compile' or import it from {module_name!r}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module 'repro.xquery' has no attribute {name!r}")
 
 
 __all__ = [
@@ -172,9 +135,7 @@ __all__ = [
     "compile",
     "compile_query",
     "effective_boolean_value",
-    "evaluate",
     "like_cache_stats",
-    "parse_query",
     "q_error",
     "run_query",
     "shared_plan_cache",

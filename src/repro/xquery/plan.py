@@ -13,9 +13,10 @@ tree scan per path step, pushed-predicate ordering by estimated
 selectivity, and per-execution memoization of loop-invariant inner
 FLWOR sources.  Every costed choice is answer-preserving by
 construction — both step strategies produce document order, reordering
-applies only to provably boolean-valued predicates, and memoization
-only to variable-independent sources — so a costed plan returns
-byte-identical results to the rule-based plan (a pinned property).
+applies only within runs of provably total, boolean-valued predicates,
+and memoization only to variable-independent sources — so a costed
+plan returns byte-identical results, and raises exactly when, the
+rule-based plan does (pinned by :mod:`repro.xquery.differential`).
 Plans compiled *without* statistics are bit-for-bit the rule-based
 plans of old, which keeps the golden explain suite byte-identical.
 
@@ -151,6 +152,7 @@ class _ExecState:
 
 _RESOLVER_CACHE: dict[int, tuple] = {}
 _RESOLVER_CACHE_MAX = 8
+_RESOLVER_LOCK = threading.Lock()
 
 
 def _resolver_for(documents) -> DocumentResolver | None:
@@ -160,22 +162,26 @@ def _resolver_for(documents) -> DocumentResolver | None:
     rebuild the resolver — and its document-node wrappers — every call.
     The cache is validated per entry (same keys, identical document
     objects), so callers that swap documents in the mapping still get a
-    fresh resolver.
+    fresh resolver.  One lock guards check, eviction and insert: plans
+    execute concurrently on server threads, and two unguarded evictions
+    could pop the same oldest key or iterate a resizing dict.
     """
     if documents is None or isinstance(documents, DocumentResolver):
         return documents
     key = id(documents)
-    entry = _RESOLVER_CACHE.get(key)
-    if entry is not None and entry[0] is documents:
-        snapshot, resolver = entry[1], entry[2]
-        if len(snapshot) == len(documents) and \
-                all(documents.get(name) is doc for name, doc in snapshot):
-            return resolver
-    resolver = DocumentResolver(documents)
-    while len(_RESOLVER_CACHE) >= _RESOLVER_CACHE_MAX:
-        _RESOLVER_CACHE.pop(next(iter(_RESOLVER_CACHE)))
-    _RESOLVER_CACHE[key] = (documents, tuple(documents.items()), resolver)
-    return resolver
+    with _RESOLVER_LOCK:
+        entry = _RESOLVER_CACHE.get(key)
+        if entry is not None and entry[0] is documents:
+            snapshot, resolver = entry[1], entry[2]
+            if len(snapshot) == len(documents) and all(
+                    documents.get(name) is doc for name, doc in snapshot):
+                return resolver
+        resolver = DocumentResolver(documents)
+        while len(_RESOLVER_CACHE) >= _RESOLVER_CACHE_MAX:
+            _RESOLVER_CACHE.pop(next(iter(_RESOLVER_CACHE)))
+        _RESOLVER_CACHE[key] = (documents, tuple(documents.items()),
+                                resolver)
+        return resolver
 
 
 def _atomize(seq: Seq, state: _ExecState) -> Seq:
@@ -1475,49 +1481,12 @@ class _CostPlanner:
     # -- tree walk -------------------------------------------------------- #
 
     def walk(self, op: Op) -> Op:
-        if isinstance(op, IndexedPathOp):
-            self._cost_indexed_path(op)
-            for step in op.steps:
-                for predicate, _pushed in step.predicates:
-                    self.walk(predicate)
-            return op
-        if isinstance(op, PathOp):
-            self.walk(op.base)
-            for step in op.steps:
-                for predicate, _pushed in step.predicates:
-                    self.walk(predicate)
-            return op
         if isinstance(op, FLWOROp):
             return self._cost_flwor(op)
-        if isinstance(op, FunctionCallOp):
-            for arg in op.args:
-                self.walk(arg)
-            return op
-        if isinstance(op, SequenceOp):
-            for item in op.items:
-                self.walk(item)
-            return op
-        if isinstance(op, IfOp):
-            self.walk(op.condition)
-            self.walk(op.then_branch)
-            self.walk(op.else_branch)
-            return op
-        if isinstance(op, (LogicalOp, ArithmeticOp, ComparisonOp)):
-            self.walk(op.left)
-            self.walk(op.right)
-            return op
-        if isinstance(op, NotOp):
-            self.walk(op.operand)
-            return op
-        if isinstance(op, QuantifiedOp):
-            for _variable, source in op.bindings:
-                self.walk(source)
-            self.walk(op.condition)
-            return op
-        if isinstance(op, ElementConstructorOp):
-            if op.content is not None:
-                self.walk(op.content)
-            return op
+        if isinstance(op, IndexedPathOp):
+            self._cost_indexed_path(op)
+        for child in _children(op):
+            self.walk(child)
         return op
 
     def _cost_flwor(self, op: FLWOROp) -> Op:
@@ -1642,14 +1611,14 @@ class _CostPlanner:
             base = self._source_rows(source)
             selectivity = 1.0
             for conjunct in per_source[variable]:
-                selectivity *= self._hoisted_selectivity(
-                    conjunct, variable, context_tag, docstats)
+                selectivity *= _selectivity(conjunct, variable,
+                                            context_tag, docstats)
             rows.append(max(base * selectivity, 0.05))
             docinfo.append((docstats, context_tag))
 
         def key_distinct(key_op: Op, position: int) -> float:
             docstats, _context_tag = docinfo[position]
-            tag = _var_child_tag(key_op, group_vars[position])
+            tag = _child_tag(key_op, group_vars[position])
             if tag is not None and docstats is not None:
                 return float(docstats.distinct_estimate(tag))
             return max(1.0, rows[position])
@@ -1890,36 +1859,6 @@ class _CostPlanner:
             return docstats, None
         return None, None
 
-    def _hoisted_selectivity(self, conjunct: Op, variable: str,
-                             context_tag, docstats) -> float:
-        """Selectivity of a single-variable hoisted conjunct, read as a
-        ``$var/Tag <op> literal`` shape against the variable's document
-        statistics."""
-        if docstats is None or context_tag is None:
-            return _cost.DEFAULT_SELECTIVITY
-        if isinstance(conjunct, ComparisonOp):
-            shape = _var_comparison_shape(conjunct, variable)
-            if shape is None:
-                return _cost.DEFAULT_SELECTIVITY
-            child_tag, cmp_op, literal = shape
-            pattern = conjunct.like[1] if conjunct.like is not None \
-                else None
-            return _cost.comparison_selectivity(
-                docstats, context_tag, child_tag, cmp_op, literal, pattern)
-        if isinstance(conjunct, LogicalOp):
-            left = self._hoisted_selectivity(conjunct.left, variable,
-                                             context_tag, docstats)
-            right = self._hoisted_selectivity(conjunct.right, variable,
-                                              context_tag, docstats)
-            if conjunct.op == "and":
-                return left * right
-            return min(1.0, left + right - left * right)
-        if isinstance(conjunct, NotOp):
-            inner = self._hoisted_selectivity(conjunct.operand, variable,
-                                              context_tag, docstats)
-            return max(_cost.EQUALITY_FLOOR, 1.0 - inner)
-        return _cost.DEFAULT_SELECTIVITY
-
     # -- path-step costing ------------------------------------------------ #
 
     def _cost_indexed_path(self, op: IndexedPathOp) -> None:
@@ -1992,7 +1931,8 @@ class _CostPlanner:
                          docstats: "DocumentStats") -> float:
         if not step.predicates:
             return 1.0
-        selectivities = [self._selectivity(predicate, step.name, docstats)
+        selectivities = [_selectivity(predicate, _CONTEXT, step.name,
+                                      docstats)
                          for predicate, _pushed in step.predicates]
         for (predicate, _pushed), estimate in zip(step.predicates,
                                                   selectivities):
@@ -2003,7 +1943,8 @@ class _CostPlanner:
         # most selective first filters the same set in fewer predicate
         # evaluations.  Hand-written predicates keep their positions —
         # a positional predicate must never move.  Predicates that can
-        # raise (numeric coercion of a non-numeric value) are barriers:
+        # raise (numeric coercion of a non-numeric value, even in an
+        # operand of a LIKE comparison) are barriers:
         # moving anything across one would change which items reach it
         # before a short-circuit, turning an error into a silent filter
         # (or vice versa) — only runs of total predicates may permute.
@@ -2017,7 +1958,8 @@ class _CostPlanner:
             run_start = 0
             for position in range(len(suffix) + 1):
                 at_barrier = position == len(suffix) \
-                    or not _cannot_raise(suffix[position][0])
+                    or not _conjunct_cannot_raise(suffix[position][0],
+                                                  _FOCUS)
                 if not at_barrier:
                     continue
                 run = range(run_start, position)
@@ -2035,117 +1977,80 @@ class _CostPlanner:
             product *= estimate
         return product
 
-    def _selectivity(self, op: Op, context_tag: str,
-                     docstats: "DocumentStats") -> float:
-        if isinstance(op, ComparisonOp):
-            shape = _comparison_shape(op)
-            if shape is None:
-                return _cost.DEFAULT_SELECTIVITY
-            child_tag, cmp_op, literal = shape
-            pattern = op.like[1] if op.like is not None else None
-            return _cost.comparison_selectivity(
-                docstats, context_tag, child_tag, cmp_op, literal, pattern)
-        if isinstance(op, LogicalOp):
-            left = self._selectivity(op.left, context_tag, docstats)
-            right = self._selectivity(op.right, context_tag, docstats)
-            if op.op == "and":
-                return left * right
-            return min(1.0, left + right - left * right)
-        if isinstance(op, NotOp):
-            inner = self._selectivity(op.operand, context_tag, docstats)
-            return max(_cost.EQUALITY_FLOOR, 1.0 - inner)
-        return _cost.DEFAULT_SELECTIVITY
+
+# --------------------------------------------------------------------------- #
+# Plan analysis: operator children, totality, comparison shapes and
+# selectivity.  One analysis serves predicate reordering (where the
+# context item ``.`` is the binding) and join hoisting (where the group
+# variables are): the context item is just another element-kinded
+# binding, named :data:`_CONTEXT` in a binding-kind environment.
+# --------------------------------------------------------------------------- #
+
+#: The binding name the analysis gives the context item ``.``.
+_CONTEXT = "."
+
+#: The environment inside a costed step's predicates: the focus is one
+#: of the step's (named) elements.
+_FOCUS = {_CONTEXT: "element"}
+
+#: Operators whose value changes only when one of their children's does.
+_TRANSPARENT_OPS = (FunctionCallOp, SequenceOp, IfOp, LogicalOp, NotOp,
+                    ArithmeticOp, ComparisonOp, PathOp, IndexedPathOp)
 
 
-def _cannot_raise(op: Op) -> bool:
-    """True when evaluating *op* as a predicate can never raise.
-
-    Node values atomize to strings, so a readable ``./Tag <op> literal``
-    comparison is total when the literal keeps it on the string path:
-    LIKE patterns match text, string literals compare as strings, and
-    boolean literals only admit (total) effective-boolean equality.  A
-    float literal forces ``to_number`` on the node text, which raises on
-    non-numeric values — those predicates (and anything unreadable) pin
-    their position in the reorder.
-    """
-    if isinstance(op, ComparisonOp):
-        if op.like is not None:
-            return True
-        shape = _comparison_shape(op)
-        if shape is None:
-            return False
-        _tag, cmp_op, literal = shape
-        if isinstance(literal, bool):
-            return cmp_op in ("=", "!=")
-        return isinstance(literal, str)
-    if isinstance(op, LogicalOp):
-        return _cannot_raise(op.left) and _cannot_raise(op.right)
+def _children(op: Op) -> list[Op]:
+    """Every operator directly under *op*, step predicates included."""
+    if isinstance(op, (PathOp, IndexedPathOp)):
+        children = [op.base] if isinstance(op, PathOp) else []
+        children.extend(predicate for step in op.steps
+                        for predicate, _pushed in step.predicates)
+        return children
+    if isinstance(op, FunctionCallOp):
+        return list(op.args)
+    if isinstance(op, SequenceOp):
+        return list(op.items)
+    if isinstance(op, IfOp):
+        return [op.condition, op.then_branch, op.else_branch]
+    if isinstance(op, (LogicalOp, ArithmeticOp, ComparisonOp)):
+        return [op.left, op.right]
     if isinstance(op, NotOp):
-        return _cannot_raise(op.operand)
-    return False
-
-
-def _relative_child_tag(op: Op) -> str | None:
-    """The tag of a bare ``./child::Tag`` operand, else None."""
-    if isinstance(op, PathOp) and isinstance(op.base, ContextItemOp) \
-            and len(op.steps) == 1:
-        step = op.steps[0]
-        if step.axis == "child" and step.kind == "element" \
-                and step.name != "*" and not step.predicates:
-            return step.name
-    return None
-
-
-def _comparison_shape(op: ComparisonOp) -> tuple[str, str, object] | None:
-    """Decompose ``./Tag <op> literal`` (either operand order) into
-    ``(tag, normalized op, literal value)``; None when unreadable."""
-    tag = _relative_child_tag(op.left)
-    if tag is not None and isinstance(op.right, LiteralOp):
-        return tag, op.op, op.right.value
-    tag = _relative_child_tag(op.right)
-    if tag is not None and isinstance(op.left, LiteralOp):
-        return tag, _REVERSED_OP.get(op.op, op.op), op.left.value
-    return None
+        return [op.operand]
+    if isinstance(op, CachedSourceOp):
+        return [op.source]
+    if isinstance(op, FLWOROp):
+        children = [source for _kind, _variable, source in op.clauses]
+        if op.where is not None:
+            children.append(op.where)
+        children.extend(key_op for key_op, _descending in op.order_specs)
+        children.append(op.returns)
+        return children
+    if isinstance(op, JoinGroupOp):
+        children = list(op.sources) + list(op.prefilters)
+        for filters in op.source_filters:
+            children.extend(filters)
+        for stage in op.stages:
+            children.extend(stage.loop_filters)
+        return children
+    if isinstance(op, QuantifiedOp):
+        return [source for _variable, source in op.bindings] \
+            + [op.condition]
+    if isinstance(op, ElementConstructorOp) and op.content is not None:
+        return [op.content]
+    return []
 
 
 def _is_loop_invariant(op: Op) -> bool:
     """True when *op*'s subtree references no variable and no context
-    item, so its value cannot change across outer FLWOR bindings."""
-    if isinstance(op, (VarRefOp, ContextItemOp)):
-        return False
-    if isinstance(op, (LiteralOp, DocOp)):
-        return True
-    if isinstance(op, FunctionCallOp):
-        return all(_is_loop_invariant(arg) for arg in op.args)
-    if isinstance(op, SequenceOp):
-        return all(_is_loop_invariant(item) for item in op.items)
-    if isinstance(op, IfOp):
-        return all(_is_loop_invariant(part) for part in
-                   (op.condition, op.then_branch, op.else_branch))
-    if isinstance(op, (LogicalOp, ArithmeticOp, ComparisonOp)):
-        return _is_loop_invariant(op.left) and _is_loop_invariant(op.right)
-    if isinstance(op, NotOp):
-        return _is_loop_invariant(op.operand)
-    if isinstance(op, PathOp):
-        if not _is_loop_invariant(op.base):
-            return False
-        return all(_is_loop_invariant(predicate)
-                   for step in op.steps
-                   for predicate, _pushed in step.predicates)
-    if isinstance(op, IndexedPathOp):
-        return all(_is_loop_invariant(predicate)
-                   for step in op.steps
-                   for predicate, _pushed in step.predicates)
-    if isinstance(op, CachedSourceOp):
-        return True
-    # FLWOR, quantifiers and constructors bind or construct — leave them
-    # conservatively variant.
-    return False
+    item, so its value cannot change across outer FLWOR bindings.
 
+    FLWORs, quantifiers and constructors bind or construct — they stay
+    conservatively variant.
+    """
+    if isinstance(op, (LiteralOp, DocOp, CachedSourceOp)):
+        return True
+    return isinstance(op, _TRANSPARENT_OPS) \
+        and all(_is_loop_invariant(child) for child in _children(op))
 
-# --------------------------------------------------------------------------- #
-# Join-planning analysis helpers
-# --------------------------------------------------------------------------- #
 
 def _op_variables(op: Op) -> frozenset[str]:
     """Every variable name referenced anywhere under *op*.
@@ -2160,50 +2065,18 @@ def _op_variables(op: Op) -> frozenset[str]:
         node = stack.pop()
         if isinstance(node, VarRefOp):
             names.add(node.name)
-        elif isinstance(node, PathOp):
-            stack.append(node.base)
-            for step in node.steps:
-                stack.extend(predicate
-                             for predicate, _pushed in step.predicates)
-        elif isinstance(node, IndexedPathOp):
-            for step in node.steps:
-                stack.extend(predicate
-                             for predicate, _pushed in step.predicates)
-        elif isinstance(node, FunctionCallOp):
-            stack.extend(node.args)
-        elif isinstance(node, SequenceOp):
-            stack.extend(node.items)
-        elif isinstance(node, IfOp):
-            stack.extend((node.condition, node.then_branch,
-                          node.else_branch))
-        elif isinstance(node, (LogicalOp, ArithmeticOp, ComparisonOp)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, NotOp):
-            stack.append(node.operand)
-        elif isinstance(node, CachedSourceOp):
-            stack.append(node.source)
-        elif isinstance(node, FLWOROp):
-            for _kind, _variable, source in node.clauses:
-                stack.append(source)
-            if node.where is not None:
-                stack.append(node.where)
-            stack.extend(key_op for key_op, _descending
-                         in node.order_specs)
-            stack.append(node.returns)
-        elif isinstance(node, JoinGroupOp):
-            stack.extend(node.sources)
-            stack.extend(node.prefilters)
-            for filters in node.source_filters:
-                stack.extend(filters)
-            for stage in node.stages:
-                stack.extend(stage.loop_filters)
-        elif isinstance(node, QuantifiedOp):
-            stack.extend(source for _variable, source in node.bindings)
-            stack.append(node.condition)
-        elif isinstance(node, ElementConstructorOp):
-            if node.content is not None:
-                stack.append(node.content)
+        stack.extend(_children(node))
     return frozenset(names)
+
+
+def _binding_of(op: Op) -> str | None:
+    """The binding *op* reads directly: a variable's name, or
+    :data:`_CONTEXT` for ``.``; None for anything else."""
+    if isinstance(op, VarRefOp):
+        return op.name
+    if isinstance(op, ContextItemOp):
+        return _CONTEXT
+    return None
 
 
 def _binding_kind(op: Op) -> str:
@@ -2227,17 +2100,17 @@ def _binding_kind(op: Op) -> str:
 
 def _operand_kind(op: Op, env: dict[str, str]) -> str:
     """The atom kind a comparison operand's value atomizes to, given
-    the group variables' binding kinds: ``"string"``, ``"number"``,
-    ``"bool"`` or ``"unknown"``."""
+    the bindings' kinds in *env*: ``"string"``, ``"number"``, ``"bool"``
+    or ``"unknown"``."""
     if isinstance(op, LiteralOp):
         if isinstance(op.value, bool):
             return "bool"
         if isinstance(op.value, float):
             return "number"
         return "string"
-    if isinstance(op, VarRefOp):
+    if isinstance(op, (VarRefOp, ContextItemOp)):
         # Elements atomize to their string value.
-        if env.get(op.name) in ("element", "string"):
+        if env.get(_binding_of(op)) in ("element", "string"):
             return "string"
         return "unknown"
     if isinstance(op, (PathOp, IndexedPathOp)):
@@ -2252,30 +2125,37 @@ def _operand_kind(op: Op, env: dict[str, str]) -> str:
 
 
 def _op_cannot_raise(op: Op, env: dict[str, str]) -> bool:
-    """True when evaluating *op* can never raise, with group variables
-    bound to the kinds recorded in *env*.
+    """True when evaluating *op* can never raise, with bindings of the
+    kinds recorded in *env* (``.`` under :data:`_CONTEXT`).
 
-    The per-step :func:`_cannot_raise` covers context-relative
-    predicates; this variant reasons about ``$var``-rooted expressions
-    for join hoisting.  Doc-rooted paths count as raising — a missing
-    document raises :class:`~repro.xquery.errors.XQueryNameError`, and
-    hoisted filtering must not be able to hide that.  Unbound-variable
-    errors are out of scope: a reference to a genuinely unbound name is
-    a broken query, not a plan-dependent behavior this engine defends.
+    Node values atomize to strings, so a comparison is total when both
+    operands are and they stay on one atom kind: a LIKE pattern matches
+    the text of any atom, and boolean literals only admit (total)
+    effective-boolean equality, while a number against node text forces
+    ``to_number``, which raises on non-numeric values.  Arithmetic and
+    function calls count as raising.  Doc-rooted paths count as raising
+    too — a missing document raises
+    :class:`~repro.xquery.errors.XQueryNameError`, and no plan choice
+    may hide that.  Unbound-variable errors are out of scope: a
+    reference to a genuinely unbound name is a broken query, not a
+    plan-dependent behavior this engine defends.
     """
     if isinstance(op, (LiteralOp, VarRefOp)):
         return True
+    if isinstance(op, ContextItemOp):
+        # '.' raises outside a predicate focus.
+        return _CONTEXT in env
     if isinstance(op, PathOp):
-        base = op.base
-        if not (isinstance(base, VarRefOp)
-                and env.get(base.name) == "element"):
+        if env.get(_binding_of(op.base)) != "element":
             return False
         for position, step in enumerate(op.steps):
             if step.kind != "element" and position < len(op.steps) - 1:
                 # Attribute/text steps yield strings; a further step on
                 # an atomic raises.
                 return False
-            if any(not _cannot_raise(predicate)
+            focus = {**env, _CONTEXT: "element" if step.kind == "element"
+                     else "string"}
+            if any(not _conjunct_cannot_raise(predicate, focus)
                    for predicate, _pushed in step.predicates):
                 return False
         return True
@@ -2315,10 +2195,63 @@ def _boolean_shaped(op: Op) -> bool:
 
 
 def _conjunct_cannot_raise(op: Op, env: dict[str, str]) -> bool:
-    """Total as a WHERE conjunct: evaluation never raises *and* the
-    result is boolean-shaped (its effective boolean value never
-    raises either)."""
+    """Total as a WHERE conjunct or step predicate: evaluation never
+    raises *and* the result is boolean-shaped (its effective boolean
+    value never raises either, and it is never a positional filter)."""
     return _boolean_shaped(op) and _op_cannot_raise(op, env)
+
+
+def _child_tag(op: Op, binding: str) -> str | None:
+    """The tag of a bare ``binding/child::Tag`` operand, else None."""
+    if isinstance(op, PathOp) and _binding_of(op.base) == binding \
+            and len(op.steps) == 1:
+        step = op.steps[0]
+        if step.axis == "child" and step.kind == "element" \
+                and step.name != "*" and not step.predicates:
+            return step.name
+    return None
+
+
+def _comparison_shape(op: ComparisonOp, binding: str) \
+        -> tuple[str, str, object] | None:
+    """Decompose ``binding/Tag <op> literal`` (either operand order)
+    into ``(tag, normalized op, literal value)``; None when
+    unreadable."""
+    tag = _child_tag(op.left, binding)
+    if tag is not None and isinstance(op.right, LiteralOp):
+        return tag, op.op, op.right.value
+    tag = _child_tag(op.right, binding)
+    if tag is not None and isinstance(op.left, LiteralOp):
+        return tag, _REVERSED_OP.get(op.op, op.op), op.left.value
+    return None
+
+
+def _selectivity(op: Op, binding: str, context_tag: str | None,
+                 docstats: "DocumentStats | None") -> float:
+    """Estimated fraction of *binding*'s items (elements tagged
+    *context_tag*) that satisfy the predicate *op*, read as
+    ``binding/Tag <op> literal`` comparisons under and/or/not against
+    the document statistics; the default wherever it is unreadable."""
+    if docstats is None or context_tag is None:
+        return _cost.DEFAULT_SELECTIVITY
+    if isinstance(op, ComparisonOp):
+        shape = _comparison_shape(op, binding)
+        if shape is None:
+            return _cost.DEFAULT_SELECTIVITY
+        child_tag, cmp_op, literal = shape
+        pattern = op.like[1] if op.like is not None else None
+        return _cost.comparison_selectivity(
+            docstats, context_tag, child_tag, cmp_op, literal, pattern)
+    if isinstance(op, LogicalOp):
+        left = _selectivity(op.left, binding, context_tag, docstats)
+        right = _selectivity(op.right, binding, context_tag, docstats)
+        if op.op == "and":
+            return left * right
+        return min(1.0, left + right - left * right)
+    if isinstance(op, NotOp):
+        inner = _selectivity(op.operand, binding, context_tag, docstats)
+        return max(_cost.EQUALITY_FLOOR, 1.0 - inner)
+    return _cost.DEFAULT_SELECTIVITY
 
 
 def _split_conjuncts_op(op: Op) -> list[Op]:
@@ -2355,31 +2288,6 @@ def _equi_edge(op: Op, positions: dict[str, int]) -> tuple | None:
     if left_var not in positions or right_var not in positions:
         return None
     return (positions[left_var], op.left, positions[right_var], op.right)
-
-
-def _var_child_tag(op: Op, variable: str) -> str | None:
-    """The tag of a bare ``$variable/child::Tag`` operand, else None."""
-    if isinstance(op, PathOp) and isinstance(op.base, VarRefOp) \
-            and op.base.name == variable and len(op.steps) == 1:
-        step = op.steps[0]
-        if step.axis == "child" and step.kind == "element" \
-                and step.name != "*" and not step.predicates:
-            return step.name
-    return None
-
-
-def _var_comparison_shape(op: ComparisonOp, variable: str) \
-        -> tuple[str, str, object] | None:
-    """Decompose ``$variable/Tag <op> literal`` (either operand order)
-    into ``(tag, normalized op, literal value)``; None when
-    unreadable."""
-    tag = _var_child_tag(op.left, variable)
-    if tag is not None and isinstance(op.right, LiteralOp):
-        return tag, op.op, op.right.value
-    tag = _var_child_tag(op.right, variable)
-    if tag is not None and isinstance(op.left, LiteralOp):
-        return tag, _REVERSED_OP.get(op.op, op.op), op.left.value
-    return None
 
 
 # --------------------------------------------------------------------------- #

@@ -1,12 +1,12 @@
 """The explain API: ``Plan.explain_data()`` as the single source of
-truth, text/json rendering, EXPLAIN ANALYZE actuals, deprecations."""
+truth, text/json rendering, EXPLAIN ANALYZE actuals."""
 
 import json
 
 import pytest
 
 from repro.core.queries import QUERIES
-from repro.xquery import Query, compile_query
+from repro.xquery import compile_query
 from repro.xquery.stats import collect_statistics
 
 
@@ -133,11 +133,3 @@ class TestExplainAnalyze:
         assert len(again) == len(full)
         data = plan.explain_data(analyze=True)
         assert data["root"]["actual"]["rows"] == len(again)
-
-
-class TestDeprecatedEntryPoints:
-    def test_query_explain_warns_but_still_works(self):
-        query = Query("1 + 1")
-        with pytest.deprecated_call():
-            text = query.explain()
-        assert text == query.plan.explain()

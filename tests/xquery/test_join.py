@@ -1,23 +1,23 @@
 """Join execution engine: hash/loop stages vs nested loops, byte for byte.
 
-Every test drives the same source through up to five engines — the
-tree-walking interpreter, the rule-based plan, the costed plan (join
-search on), the costed plan with ``join_search=False`` (the forced
-nested-loop reference) and the perturbed plan — and requires identical
-renderings *including order* and identical raised error types.  The
-join engine may change how tuples are produced, never what comes back.
+Every test drives the same source through the five engines of
+:mod:`repro.xquery.differential` — the tree-walking interpreter, the
+rule-based plan, the costed plan (join search on), the costed plan with
+``join_search=False`` (the forced nested-loop reference) and the
+perturbed plan — and requires identical renderings *including order*
+and identical raised error types.  The join engine may change how
+tuples are produced, never what comes back.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xmlmodel import XmlDocument, XmlElement, element, serialize
+from repro.xmlmodel import XmlDocument, element
 from repro.xquery import compile_query
 from repro.xquery.context import DynamicContext
-from repro.xquery.errors import XQueryError, XQueryTypeError
-from repro.xquery.evaluator import evaluate
-from repro.xquery.parser import parse_query
+from repro.xquery.differential import outcomes
+from repro.xquery.errors import XQueryTypeError
 from repro.xquery.plan import (
     ComparisonOp,
     JoinGroupOp,
@@ -71,39 +71,10 @@ BIG_DOCS = _big_docs()
 BIG_STATS = collect_statistics(BIG_DOCS)
 
 
-def _render(seq):
-    return [serialize(item) if isinstance(item, XmlElement) else repr(item)
-            for item in seq]
-
-
-def _outcome(run):
-    try:
-        return _render(run())
-    except XQueryError as exc:
-        return ("raised", type(exc).__name__)
-
-
-def _engines(source, documents, statistics):
-    """name -> rendered outcome across all five engines."""
-    return {
-        "interp": _outcome(lambda: evaluate(
-            parse_query(source), DynamicContext(documents=documents))),
-        "plain": _outcome(
-            lambda: compile_query(source).execute(documents)),
-        "joined": _outcome(lambda: compile_query(
-            source, statistics=statistics).execute(documents)),
-        "nojoin": _outcome(lambda: compile_query(
-            source, statistics=statistics,
-            join_search=False).execute(documents)),
-        "perturbed": _outcome(lambda: compile_query(
-            source, perturb=True).execute(documents)),
-    }
-
-
 def _assert_agree(source, documents=DOCS, statistics=STATS):
-    outcomes = _engines(source, documents, statistics)
-    reference = outcomes["interp"]
-    for name, outcome in outcomes.items():
+    result = outcomes(source, documents, statistics)
+    reference = result["interpreter"]
+    for name, outcome in result.items():
         assert outcome == reference, (name, source)
     return reference
 
@@ -158,12 +129,12 @@ class TestJoinParity:
     def test_empty_match_set(self):
         assert _assert_agree(
             "for $a in doc('L')//row, $b in doc('R')//row "
-            "where $a/k = $b/k and $a/v = 'nope' return $b/v") == []
+            "where $a/k = $b/k and $a/v = 'nope' return $b/v") == ()
 
     def test_empty_source_short_circuits(self):
         assert _assert_agree(
             "for $a in doc('L')//missing, $b in doc('R')//row "
-            "where $a/k = $b/k return $b/v") == []
+            "where $a/k = $b/k return $b/v") == ()
 
     def test_non_equi_cross_predicate(self):
         _assert_agree("for $a in doc('L')//row, $b in doc('R')//row "

@@ -1,35 +1,22 @@
 """Compiled plans: byte-identical to the interpreter, observable stats."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.queries import QUERIES
-from repro.xmlmodel import XmlDocument, XmlElement, element, serialize
+from repro.xmlmodel import XmlDocument, element
 from repro.xquery import Query, XQueryTypeError, compile_query, run_query
-from repro.xquery.context import DynamicContext
-from repro.xquery.errors import XQueryError
-from repro.xquery.evaluator import evaluate
-from repro.xquery.parser import parse_query
-from repro.xquery.plan import IndexedPathOp
-
-
-def _render(seq):
-    return [serialize(item) if isinstance(item, XmlElement) else item
-            for item in seq]
+from repro.xquery.differential import outcomes, render
+from repro.xquery.plan import IndexedPathOp, _resolver_for
 
 
 def _both_ways(source, documents):
-    """(interpreter result, plan result), errors normalized to markers."""
-    try:
-        interp = _render(evaluate(parse_query(source),
-                                  DynamicContext(documents=documents)))
-    except XQueryError as exc:
-        interp = ("raised", type(exc).__name__)
-    plan = compile_query(source)
-    try:
-        planned = _render(plan.execute(documents))
-    except XQueryError as exc:
-        planned = ("raised", type(exc).__name__)
-    return interp, planned
+    """(interpreter outcome, rule-based plan outcome)."""
+    result = outcomes(source, documents,
+                      engines=("interpreter", "rule-based"))
+    return result["interpreter"], result["rule-based"]
 
 
 class TestBenchmarkEquivalence:
@@ -45,8 +32,8 @@ class TestBenchmarkEquivalence:
                              ids=[f"q{q.number:02d}" for q in QUERIES])
     def test_plan_is_stable_across_runs(self, query, paper_testbed):
         plan = compile_query(query.xquery)
-        first = _render(plan.execute(paper_testbed.documents))
-        second = _render(plan.execute(paper_testbed.documents))
+        first = render(plan.execute(paper_testbed.documents))
+        second = render(plan.execute(paper_testbed.documents))
         assert first == second
 
 
@@ -143,6 +130,36 @@ class TestEquivalenceCorners:
         assert planned == interp
 
 
+class TestResolverCache:
+    def test_concurrent_evictions_never_raise(self):
+        """Server threads execute plans concurrently, each request with a
+        fresh document mapping, so every call may evict the oldest cached
+        resolver; racing evictions must neither pop the same key twice
+        nor iterate the cache while another thread resizes it."""
+        document = XmlDocument(element("r"))
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(20_000):
+                    _resolver_for({"d": document})
+            except Exception as exc:  # noqa: BLE001 - collected below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+
 class TestPlanStats:
     def test_stats_populated_after_execute(self, paper_testbed):
         plan = compile_query(QUERIES[0].xquery)
@@ -180,10 +197,8 @@ class TestFacade:
 
     def test_query_wraps_plans(self, paper_testbed):
         query = Query(QUERIES[0].xquery)
-        with pytest.deprecated_call():
-            assert query.explain() == query.plan.explain()
-        assert _render(query.run(paper_testbed.documents)) == \
-            _render(run_query(QUERIES[0].xquery, paper_testbed.documents))
+        assert render(query.run(paper_testbed.documents)) == \
+            render(run_query(QUERIES[0].xquery, paper_testbed.documents))
 
     def test_query_syntax_error_carries_location(self):
         from repro.xquery import XQuerySyntaxError
@@ -194,14 +209,6 @@ class TestFacade:
         assert err.column is not None
         assert err.context() is not None
         assert "^" in err.context()
-
-    def test_deprecated_imports_warn_but_work(self):
-        import repro.xquery as xq
-        with pytest.warns(DeprecationWarning):
-            parse = xq.parse_query
-        with pytest.warns(DeprecationWarning):
-            ev = xq.evaluate
-        assert ev(parse("1 < 2"), DynamicContext()) == [True]
 
     def test_unknown_attribute_still_raises(self):
         import repro.xquery as xq
