@@ -513,14 +513,12 @@ def _print_report(report: dict) -> None:
               f"x{measurement['speedup_fleet_vs_single']}")
     slo = report["slo"]
     if slo.get("enabled"):
-        print(f"  fleet SLO: hedged={slo['hedged']} "
-              f"hedge_wins={slo['hedge_wins']} shed={slo['shed']} "
+        print(f"  fleet SLO: shed={slo['shed']} "
               f"respawns={slo['respawns']}")
         for endpoint, row in slo.get("slo", {}).items():
             latency = row["latency_ms"]
             print(f"    {endpoint:<10} p50 {latency['p50']}ms "
                   f"p95 {latency['p95']}ms p99 {latency['p99']}ms "
-                  f"hedge_rate {row['hedge_rate']} "
                   f"shed_rate {row['shed_rate']}")
 
 
@@ -540,7 +538,7 @@ def main(argv=None) -> int:
                         help="requests per client thread (default 40)")
     parser.add_argument("--pilot-only", action="store_true",
                         help="run calibration + byte-identity + worker-"
-                             "kill only (CI fleet-smoke)")
+                             "kill only (CI server-smoke)")
     parser.add_argument("--no-kill", dest="kill_worker",
                         action="store_false",
                         help="skip the worker-kill resilience step")

@@ -185,24 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fleet", type=int, default=0, metavar="N",
                        help="execute /api/query[/batch] on N worker "
                             "processes sharing a cross-process result "
-                            "cache, with admission control and request "
-                            "hedging (default 0: in-process execution)")
-    serve.add_argument("--fleet-queue-depth", type=int, default=None,
-                       metavar="D",
-                       help="per-worker in-flight budget before requests "
-                            "are shed with 429 (default 32)")
-    serve.add_argument("--hedge-quantile", type=float, default=None,
-                       metavar="Q",
-                       help="re-issue a query to a second worker past "
-                            "this observed latency quantile (default "
-                            "0.95; negative disables hedging)")
-    serve.add_argument("--hedge-floor-ms", type=float, default=None,
-                       metavar="MS",
-                       help="never hedge earlier than this (default 50)")
-    serve.add_argument("--shared-cache-mb", type=int, default=None,
-                       metavar="MB",
-                       help="shared result-cache arena size (default 32; "
-                            "0 disables the shared tier)")
+                            "cache, with admission control (default 0: "
+                            "in-process execution)")
 
     bundle = commands.add_parser(
         "bundle", help="write the three download zips")
@@ -421,18 +405,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = HonorRollStore(args.scores or DEFAULT_SCORES_FILE)
     fleet = None
     if args.fleet > 0:
-        fleet_kwargs = {}
-        if args.fleet_queue_depth is not None:
-            fleet_kwargs["queue_depth"] = args.fleet_queue_depth
-        if args.hedge_quantile is not None:
-            fleet_kwargs["hedge_quantile"] = \
-                None if args.hedge_quantile < 0 else args.hedge_quantile
-        if args.hedge_floor_ms is not None:
-            fleet_kwargs["hedge_floor_s"] = args.hedge_floor_ms / 1000.0
-        if args.shared_cache_mb is not None:
-            fleet_kwargs["shared_cache_bytes"] = \
-                args.shared_cache_mb * 1024 * 1024
-        fleet = WorkerFleet(testbed, workers=args.fleet, **fleet_kwargs)
+        fleet = WorkerFleet(testbed, workers=args.fleet)
     app = ThaliaApp(testbed=testbed, store=store,
                     query_workers=args.query_workers,
                     perf_baseline=args.perf_baseline,

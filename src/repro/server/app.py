@@ -72,8 +72,8 @@ class ThaliaApp:
         self.testbed = testbed if testbed is not None else shared_testbed()
         # Optional multiprocess worker fleet (repro.server.fleet): when
         # set, POST /api/query[/batch] executes on worker processes with
-        # admission control and hedging instead of in this process.  The
-        # app owns its lifecycle: close() drains and stops the workers.
+        # admission control instead of in this process.  The app owns
+        # its lifecycle: close() drains and stops the workers.
         self.fleet = fleet
         self.store = store if store is not None \
             else HonorRollStore(scores_path)

@@ -20,15 +20,13 @@ Design, end to end:
   exact ``(task fingerprint, content fingerprint)`` scheme of the
   in-process :class:`~repro.xquery.results.ResultCache` — a result any
   process computed is a byte-identical replay for every other process.
+  It is what keeps ``cached`` identical to single-process serving when
+  least-loaded placement sends a repeated query to a different worker.
 * **Admission control.** Every worker has a bounded in-flight budget
   (``queue_depth``).  When no candidate worker has capacity the request
   is *shed* with :class:`FleetSaturated` — the handler answers ``429``
   with a ``Retry-After`` derived from observed latency — instead of
   queueing unboundedly and melting tail latency for everyone.
-* **Request hedging.** A request still unanswered past an adaptive
-  latency quantile (default: observed p95, floored) is re-issued to a
-  second worker.  First answer wins; the loser is cancelled (skipped if
-  still queued, its late answer dropped otherwise) and counted.
 * **Lifecycle.** A monitor/dispatcher thread detects dead workers,
   re-dispatches their in-flight requests to healthy peers (zero failed
   requests on a worker crash) and respawns them with a cold-start
@@ -63,22 +61,8 @@ logger = logging.getLogger(__name__)
 #: Default bounded in-flight budget per worker (admission control).
 DEFAULT_QUEUE_DEPTH = 32
 
-#: Hedge a request once it is slower than this observed latency quantile.
-DEFAULT_HEDGE_QUANTILE = 0.95
-
-#: Never hedge earlier than this (seconds) — re-issuing microsecond
-#: cache hits would only double load.
-DEFAULT_HEDGE_FLOOR_S = 0.05
-
-#: Hedge delay used until enough latency samples exist to estimate the
-#: quantile.
-INITIAL_HEDGE_DELAY_S = 1.0
-
-#: Latency observations required before the adaptive quantile is trusted.
-MIN_HEDGE_SAMPLES = 16
-
 #: Hard ceiling on one request's wall time before the fleet gives up.
-DEFAULT_REQUEST_TIMEOUT_S = 300.0
+REQUEST_TIMEOUT_S = 300.0
 
 #: Dispatcher poll interval: response wait timeout doubling as the
 #: worker liveness check period.
@@ -135,7 +119,7 @@ def _process_meta(served: int) -> dict:
 
 
 def _worker_main(index: int, seed: int, scale: int, inherited_testbed,
-                 task_conn, resp_conn, cache_path: str | None, cache_lock,
+                 task_conn, resp_conn, cache_path: str, cache_lock,
                  gate) -> None:
     """One worker process: recv task → execute → send result, forever.
 
@@ -164,14 +148,11 @@ def _worker_main(index: int, seed: int, scale: int, inherited_testbed,
 
     testbed = inherited_testbed if inherited_testbed is not None \
         else shared_testbed(seed, scale=scale)
-    shared = None
-    if cache_path is not None:
-        try:
-            shared = SharedResultCache.attach(cache_path, cache_lock)
-        except (OSError, ValueError):
-            shared = None               # degrade to a private cache
+    try:
+        shared = SharedResultCache.attach(cache_path, cache_lock)
+    except (OSError, ValueError):
+        shared = None                   # degrade to a private cache
     context = _WorkerContext(testbed, shared)
-    cancelled: set[int] = set()
     served = 0
     resp_conn.send(("hello", index, os.getpid(), _process_meta(served)))
     while True:
@@ -182,36 +163,23 @@ def _worker_main(index: int, seed: int, scale: int, inherited_testbed,
         kind = message[0]
         if kind == "stop":
             break
-        if kind == "cancel":
-            cancelled.add(message[1])
-            continue
         rid = message[1]
-        if rid in cancelled:
-            cancelled.discard(rid)
-            try:
-                resp_conn.send(("skipped", rid, _process_meta(served)))
-            except (BrokenPipeError, OSError):
-                break
-            continue
         if kind == "gate":
-            # Test-only rendezvous: park until the cross-process gate
-            # opens.  Only honored when the fleet was built with a gate.
-            # A (ready, go) pair additionally signals delivery, so tests
-            # can prove a task reached a worker without sleeping.  ``go``
-            # is a semaphore turnstile rather than an mp.Event: a worker
-            # SIGKILLed while parked in ``Event.wait()`` leaves the
-            # event's sleeper count claiming a waiter that no longer
-            # exists, and the next ``set()`` then blocks forever inside
+            # Test-only rendezvous, sent only by a fleet built with a
+            # (ready, go) gate: ``ready`` signals delivery, so tests can
+            # prove a task reached a worker without sleeping, then the
+            # worker parks until ``go`` opens.  ``go`` is a semaphore
+            # turnstile rather than an mp.Event: a worker SIGKILLed while
+            # parked in ``Event.wait()`` leaves the event's sleeper count
+            # claiming a waiter that no longer exists, and the next
+            # ``set()`` then blocks forever inside
             # ``Condition.notify_all()`` waiting for the dead process to
             # acknowledge its wakeup.  ``sem_wait`` keeps no such
             # accounting, so a killed waiter simply vanishes.
-            if isinstance(gate, tuple):
-                ready, go = gate
-                ready.release()
-                go.acquire()
-                go.release()        # pass the baton to the next waiter
-            elif gate is not None:
-                gate.wait()
+            ready, go = gate
+            ready.release()
+            go.acquire()
+            go.release()            # pass the baton to the next waiter
             body, status, rendered = {"gated": True}, 200, None
         else:
             payload = message[2]
@@ -231,11 +199,14 @@ def _worker_main(index: int, seed: int, scale: int, inherited_testbed,
 
 
 class _Pending:
-    """One logical request awaiting an answer (possibly hedged)."""
+    """One request awaiting its worker's answer.
 
-    __slots__ = ("event", "payload", "endpoint", "kind", "render",
-                 "primary_rid", "rids", "result", "rendered", "done",
-                 "winner_rid", "started")
+    It is resolved exactly once, by whoever pops ``rid`` from the
+    fleet's pending table: the answer, the timeout or the drain.
+    """
+
+    __slots__ = ("event", "payload", "endpoint", "kind", "render", "rid",
+                 "result", "rendered", "started")
 
     def __init__(self, payload, endpoint: str, kind: str, render: bool,
                  rid: int) -> None:
@@ -244,12 +215,9 @@ class _Pending:
         self.endpoint = endpoint
         self.kind = kind
         self.render = render
-        self.primary_rid = rid
-        self.rids: dict[int, int] = {}    # rid -> worker index
+        self.rid = rid
         self.result: tuple[dict, int] | None = None
         self.rendered: bytes | None = None
-        self.done = False
-        self.winner_rid: int | None = None
         self.started = time.perf_counter()
 
 
@@ -283,19 +251,12 @@ class WorkerFleet:
 
     def __init__(self, testbed, workers: int = 2, *,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 hedge_quantile: float | None = DEFAULT_HEDGE_QUANTILE,
-                 hedge_floor_s: float = DEFAULT_HEDGE_FLOOR_S,
-                 request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
-                 shared_cache_bytes: int | None = None,
                  _gate=None) -> None:
         if workers < 1:
             raise ValueError("WorkerFleet needs at least one worker")
         self.testbed = testbed
         self.size = int(workers)
         self.queue_depth = max(1, int(queue_depth))
-        self.hedge_quantile = hedge_quantile
-        self.hedge_floor_s = hedge_floor_s
-        self.request_timeout_s = request_timeout_s
         methods = multiprocessing.get_all_start_methods()
         self.start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(self.start_method)
@@ -311,22 +272,14 @@ class WorkerFleet:
         #: drain wait — so callers can synchronize on the drain phase.
         self.draining = threading.Event()
         self.counters = {
-            "dispatched": 0, "completed": 0, "requeued": 0,
-            "hedged": 0, "hedge_wins": 0, "cancelled": 0,
-            "shed": 0, "respawns": 0, "timeouts": 0, "failed": 0,
+            "dispatched": 0, "completed": 0, "requeued": 0, "shed": 0,
+            "respawns": 0, "timeouts": 0, "failed": 0,
         }
         self._latencies = LatencyReservoir(seed=1)
         self._endpoints: dict[str, dict] = {}
 
-        cache_lock = self._ctx.Lock()
-        self._cache_lock = cache_lock
-        if shared_cache_bytes == 0:
-            self.shared_cache = None
-        else:
-            kwargs = {} if shared_cache_bytes is None \
-                else {"arena_bytes": int(shared_cache_bytes)}
-            self.shared_cache = SharedResultCache.create(cache_lock,
-                                                         **kwargs)
+        self._cache_lock = self._ctx.Lock()
+        self.shared_cache = SharedResultCache.create(self._cache_lock)
 
         self._workers = [_WorkerHandle(index) for index in range(self.size)]
         for handle in self._workers:
@@ -347,8 +300,7 @@ class WorkerFleet:
             target=_worker_main,
             name=f"thalia-fleet-{handle.index}",
             args=(handle.index, self.testbed.seed, self.testbed.scale,
-                  inherited, task_r, resp_w,
-                  self.shared_cache.path if self.shared_cache else None,
+                  inherited, task_r, resp_w, self.shared_cache.path,
                   self._cache_lock, self._gate),
             daemon=True)
         process.start()
@@ -388,7 +340,7 @@ class WorkerFleet:
     def _endpoint_stats(self, endpoint: str) -> dict:
         stats = self._endpoints.get(endpoint)
         if stats is None:
-            stats = {"requests": 0, "hedged": 0, "shed": 0,
+            stats = {"requests": 0, "shed": 0,
                      "latencies": LatencyReservoir(
                          seed=len(self._endpoints) + 2)}
             self._endpoints[endpoint] = stats
@@ -414,7 +366,6 @@ class WorkerFleet:
                 raise FleetSaturated(self._retry_after_s())
             rid = next(self._rids)
             entry = _Pending(payload, endpoint, kind, render, rid)
-            entry.rids[rid] = target.index
             self._pending[rid] = entry
             target.outstanding.add(rid)
             self.counters["dispatched"] += 1
@@ -433,40 +384,25 @@ class WorkerFleet:
             # Dead worker: the dispatcher will requeue via outstanding.
             pass
 
-    def _hedge(self, entry: _Pending) -> None:
-        """Re-issue a straggler to a second worker; first answer wins."""
-        with self._lock:
-            if entry.done or self._closing or len(entry.rids) > 1:
-                return
-            busy = set(entry.rids.values())
-            target = None
-            for index in sorted(range(self.size),
-                                key=lambda i: (self._workers[i].inflight,
-                                               i)):
-                handle = self._workers[index]
-                if index not in busy and handle.alive() \
-                        and handle.inflight < self.queue_depth:
-                    target = handle
-                    break
-            if target is None:
-                return                  # no capacity: keep waiting
-            rid = next(self._rids)
-            entry.rids[rid] = target.index
-            self._pending[rid] = entry
-            target.outstanding.add(rid)
-            self.counters["hedged"] += 1
-            self._endpoint_stats(entry.endpoint)["hedged"] += 1
-            self._send(target, entry, rid)
+    def _await(self, entry: _Pending) -> tuple[dict, int]:
+        """Wait for *entry* until its deadline, then record its latency.
 
-    def _hedge_delay_s(self) -> float | None:
-        if self.hedge_quantile is None:
-            return None
+        A request still unanswered at the deadline fails with 500; its
+        rid leaves the pending table, so a late answer is dropped.
+        """
+        deadline = entry.started + REQUEST_TIMEOUT_S
+        if not entry.event.wait(max(0.0, deadline - time.perf_counter())):
+            with self._lock:
+                if self._pending.pop(entry.rid, None) is not None:
+                    entry.result = ({"error": "fleet request timed out"},
+                                    500)
+                    self.counters["timeouts"] += 1
+                    self.counters["failed"] += 1
+        elapsed = time.perf_counter() - entry.started
         with self._lock:
-            count = self._latencies.count
-            quantile = self._latencies.percentile(self.hedge_quantile)
-        if count < MIN_HEDGE_SAMPLES:
-            return max(self.hedge_floor_s, INITIAL_HEDGE_DELAY_S)
-        return max(self.hedge_floor_s, quantile)
+            self._latencies.add(elapsed)
+            self._endpoint_stats(entry.endpoint)["latencies"].add(elapsed)
+        return entry.result
 
     def execute(self, payload, endpoint: str = "query", *,
                 render: bool = False) -> tuple[dict, int, bytes | None]:
@@ -479,32 +415,13 @@ class WorkerFleet:
         Raises :class:`FleetSaturated` (shed; answer 429 + Retry-After)
         or :class:`FleetClosed` (draining; answer 503).
         """
-        kind = "gate" if isinstance(payload, dict) \
+        # The test gate exists only on fleets built with one; elsewhere
+        # the key is just an unknown payload field.
+        kind = "gate" if self._gate is not None \
+            and isinstance(payload, dict) \
             and payload.get("_fleet_test_gate") else "query"
         entry = self._admit(payload, endpoint, kind, render)
-        delay = self._hedge_delay_s()
-        remaining = self.request_timeout_s
-        if delay is not None and delay < remaining:
-            if not entry.event.wait(delay):
-                self._hedge(entry)
-            remaining = max(0.0, self.request_timeout_s
-                            - (time.perf_counter() - entry.started))
-        if not entry.event.wait(remaining):
-            with self._lock:
-                if not entry.done:
-                    entry.done = True
-                    entry.result = (
-                        {"error": "fleet request timed out"}, 500)
-                    for rid, worker_index in entry.rids.items():
-                        self._pending.pop(rid, None)
-                        self._cancel(rid, worker_index)
-                    self.counters["timeouts"] += 1
-                    self.counters["failed"] += 1
-        elapsed = time.perf_counter() - entry.started
-        with self._lock:
-            self._latencies.add(elapsed)
-            self._endpoint_stats(entry.endpoint)["latencies"].add(elapsed)
-        body, status = entry.result
+        body, status = self._await(entry)
         return body, status, entry.rendered
 
     def execute_many(self, payloads, endpoint: str = "batch")\
@@ -515,56 +432,19 @@ class WorkerFleet:
         instead of sinking their batch-mates, mirroring the per-item
         error isolation of the single-process batch path.
         """
-        entries: list[tuple[_Pending | None, dict | None]] = []
+        admitted: list[_Pending | tuple[dict, int]] = []
         for payload in payloads:
             try:
-                entries.append((self._admit(payload, endpoint, "query",
-                                            False), None))
+                admitted.append(self._admit(payload, endpoint, "query",
+                                            False))
             except FleetSaturated as exc:
-                entries.append((None, {
-                    "error": "worker fleet saturated",
-                    "retry_after": exc.retry_after_s}))
+                admitted.append(({"error": "worker fleet saturated",
+                                  "retry_after": exc.retry_after_s}, 429))
             except FleetClosed:
-                entries.append((None, {"error": "service is shutting "
-                                                "down"}))
-        deadline = time.perf_counter() + self.request_timeout_s
-        delay = self._hedge_delay_s()
-        results: list[tuple[dict, int]] = []
-        for entry, shed_body in entries:
-            if entry is None:
-                results.append((shed_body,
-                                429 if "retry_after" in shed_body else 503))
-                continue
-            if delay is not None and not entry.event.wait(
-                    max(0.0, min(delay,
-                                 deadline - time.perf_counter()))):
-                self._hedge(entry)
-            if not entry.event.wait(
-                    max(0.0, deadline - time.perf_counter())):
-                with self._lock:
-                    if not entry.done:
-                        entry.done = True
-                        entry.result = (
-                            {"error": "fleet request timed out"}, 500)
-                        for rid, worker_index in entry.rids.items():
-                            self._pending.pop(rid, None)
-                            self._cancel(rid, worker_index)
-                        self.counters["timeouts"] += 1
-                        self.counters["failed"] += 1
-            elapsed = time.perf_counter() - entry.started
-            with self._lock:
-                self._latencies.add(elapsed)
-                self._endpoint_stats(endpoint)["latencies"].add(elapsed)
-            results.append(entry.result)
-        return results
-
-    def _cancel(self, rid: int, worker_index: int) -> None:
-        """Best-effort cancel of a dispatched task (caller holds lock)."""
-        handle = self._workers[worker_index]
-        try:
-            handle.task_conn.send(("cancel", rid))
-        except (BrokenPipeError, OSError):
-            pass
+                admitted.append(({"error": "service is shutting down"},
+                                 503))
+        return [self._await(item) if isinstance(item, _Pending) else item
+                for item in admitted]
 
     # -- dispatcher / monitor ---------------------------------------------- #
 
@@ -596,33 +476,19 @@ class WorkerFleet:
             with self._lock:
                 handle.meta = message[3]
             return
-        rid = message[1]
+        _kind, rid, status, body, rendered, meta = message
         with self._lock:
             handle.outstanding.discard(rid)
-            if kind == "skipped":
-                handle.meta = message[2]
-                self._notify_if_drained()
-                return
-            _kind, _rid, status, body, rendered, meta = message
             handle.meta = meta
             handle.served += 1
+            # None: the request timed out or was failed by the drain, and
+            # this late answer is dropped.
             entry = self._pending.pop(rid, None)
-            if entry is None or entry.done:
-                self._notify_if_drained()
-                return                  # hedge loser, already answered
-            entry.result = (body, status)
-            entry.rendered = rendered
-            entry.done = True
-            entry.winner_rid = rid
-            self.counters["completed"] += 1
-            if rid != entry.primary_rid:
-                self.counters["hedge_wins"] += 1
-            for other_rid, worker_index in entry.rids.items():
-                if other_rid != rid:
-                    self._pending.pop(other_rid, None)
-                    self._cancel(other_rid, worker_index)
-                    self.counters["cancelled"] += 1
-            entry.event.set()
+            if entry is not None:
+                entry.result = (body, status)
+                entry.rendered = rendered
+                self.counters["completed"] += 1
+                entry.event.set()
             self._notify_if_drained()
 
     def _notify_if_drained(self) -> None:
@@ -656,7 +522,7 @@ class WorkerFleet:
                 self.counters["respawns"] += 1
                 for rid in orphaned:
                     entry = self._pending.get(rid)
-                    if entry is None or entry.done:
+                    if entry is None:
                         continue
                     # Re-dispatch to the least-loaded healthy worker.
                     # Capacity is allowed to overshoot here: finishing an
@@ -668,7 +534,6 @@ class WorkerFleet:
                         default=None)
                     if retarget is None:
                         retarget = handle      # freshly respawned
-                    entry.rids[rid] = retarget.index
                     retarget.outstanding.add(rid)
                     self.counters["requeued"] += 1
                     self._send(retarget, entry, rid)
@@ -692,14 +557,12 @@ class WorkerFleet:
                         break
                 # Anything still pending after the drain window fails
                 # closed rather than hanging its caller.
-                for rid, entry in list(self._pending.items()):
-                    if not entry.done:
-                        entry.done = True
-                        entry.result = ({"error": "service is shutting "
-                                                  "down"}, 503)
-                        self.counters["failed"] += 1
-                        entry.event.set()
-                    self._pending.pop(rid, None)
+                for entry in self._pending.values():
+                    entry.result = ({"error": "service is shutting down"},
+                                    503)
+                    self.counters["failed"] += 1
+                    entry.event.set()
+                self._pending.clear()
             self._closed = True
             workers = list(self._workers)
         if self._dispatcher.is_alive() \
@@ -722,8 +585,7 @@ class WorkerFleet:
                         conn.close()
                 except OSError:
                     pass
-        if self.shared_cache is not None:
-            self.shared_cache.close()
+        self.shared_cache.close()
 
     def __enter__(self) -> "WorkerFleet":
         return self
@@ -738,23 +600,13 @@ class WorkerFleet:
         per-endpoint SLO table and per-worker CPU/RSS."""
         with self._lock:
             counters = dict(self.counters)
-            hedge_delay = None
-            if self.hedge_quantile is not None:
-                count = self._latencies.count
-                hedge_delay = max(
-                    self.hedge_floor_s,
-                    INITIAL_HEDGE_DELAY_S if count < MIN_HEDGE_SAMPLES
-                    else self._latencies.percentile(self.hedge_quantile))
             slo = {}
             for endpoint, stats in sorted(self._endpoints.items()):
                 admitted = stats["requests"]
                 offered = admitted + stats["shed"]
                 slo[endpoint] = {
                     "requests": admitted,
-                    "hedged": stats["hedged"],
                     "shed": stats["shed"],
-                    "hedge_rate": round(stats["hedged"] / admitted, 4)
-                    if admitted else 0.0,
                     "shed_rate": round(stats["shed"] / offered, 4)
                     if offered else 0.0,
                     "latency_ms": stats["latencies"].quantiles_ms(),
@@ -769,29 +621,20 @@ class WorkerFleet:
                 "cpu_s": handle.meta.get("cpu_s"),
                 "rss_kb": handle.meta.get("rss_kb"),
             } for handle in self._workers]
-        block = {
+        return {
             "enabled": True,
             "workers": self.size,
             "start_method": self.start_method,
             "queue_depth": self.queue_depth,
             "draining": self._closing,
             **counters,
-            "hedge": {
-                "quantile": self.hedge_quantile,
-                "floor_s": self.hedge_floor_s,
-                "current_delay_s": round(hedge_delay, 4)
-                if hedge_delay is not None else None,
-            },
             "slo": slo,
             "per_worker": per_worker,
+            "shared_cache": self.shared_cache.stats(),
         }
-        if self.shared_cache is not None:
-            block["shared_cache"] = self.shared_cache.stats()
-        return block
 
 
 __all__ = [
-    "DEFAULT_HEDGE_QUANTILE",
     "DEFAULT_QUEUE_DEPTH",
     "FleetClosed",
     "FleetError",

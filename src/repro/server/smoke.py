@@ -9,9 +9,9 @@ and a graceful SIGINT shutdown.  The server is then rebooted on the same
 score store to prove uploads survive restarts.
 
 A final leg reboots the service with ``--fleet 2`` and asserts the
-``fleet`` block of ``/api/stats`` publishes the hedging/admission
-counters (``hedged``, ``hedge_wins``, ``shed``, ``respawns``) with the
-right types, that fleet answers match single-process bytes, and that the
+``fleet`` block of ``/api/stats`` publishes the admission and
+lifecycle counters (``shed``, ``respawns``, ``requeued``, ``timeouts``,
+``failed``) with the right types, that fleet answers match single-process bytes, and that the
 fleet drains cleanly on SIGINT.
 
 Run it locally with::
@@ -227,7 +227,8 @@ def main() -> int:
         fleet = json.loads(body).get("fleet", {})
         check(fleet.get("enabled") is True and fleet.get("workers") == 2,
               "/api/stats fleet block reports 2 workers")
-        for counter in ("hedged", "hedge_wins", "shed", "respawns"):
+        for counter in ("shed", "respawns", "requeued", "timeouts",
+                        "failed"):
             check(isinstance(fleet.get(counter), int),
                   f"fleet counter '{counter}' present and integral")
         check(isinstance(fleet.get("slo"), dict)

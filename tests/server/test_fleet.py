@@ -1,4 +1,4 @@
-"""The multiprocess worker fleet: routing, caching, hedging, lifecycle.
+"""The multiprocess worker fleet: routing, caching, admission, lifecycle.
 
 Synchronization is event-based throughout, following
 ``tests/test_concurrency_stress.py``: workers park on a cross-process
@@ -22,8 +22,8 @@ from repro.server import (
     ThaliaApp,
     WorkerFleet,
 )
-from repro.server.fleet import MIN_HEDGE_SAMPLES
 from repro.server.handlers import _run_one_query, render_query_body
+from repro.server.router import Request
 
 _METHODS = multiprocessing.get_all_start_methods()
 CTX = multiprocessing.get_context("fork" if "fork" in _METHODS else "spawn")
@@ -95,6 +95,57 @@ class TestFleetExecution:
             assert outcomes[-1][0]["items"] == expected[-1][0]["items"]
         single.close()
 
+    def test_twelve_singly_then_batched_match_single_process(
+            self, testbed):
+        """Every body, ``cached`` included, matches one process.
+
+        The batch spreads the twelve over both workers by load, so a
+        repeat often lands on a worker that never ran it; only the
+        shared result tier lets that worker answer ``cached: true``.
+        """
+        single = ThaliaApp(testbed=testbed)
+        payloads = [{"xquery": query.xquery} for query in QUERIES]
+
+        def rendered(outcome) -> str:
+            return _normalized(render_query_body(*outcome))
+
+        with WorkerFleet(testbed, workers=2) as fleet:
+            for payload in payloads:
+                body, status, _ = fleet.execute(payload)
+                assert rendered((body, status)) \
+                    == rendered(_run_one_query(single, payload))
+            outcomes = fleet.execute_many(payloads)
+            assert [rendered(outcome) for outcome in outcomes] \
+                == [rendered(_run_one_query(single, payload))
+                    for payload in payloads]
+        single.close()
+
+    def test_test_gate_key_is_inert_without_a_gate(self, testbed,
+                                                   tmp_path):
+        """``_fleet_test_gate`` in a client payload is just an unknown
+        field: a fleet built without ``_gate`` answers the query."""
+        payload = {"xquery": CMU_QUERY["xquery"], **GATED}
+
+        def post(app) -> tuple[int, str]:
+            response = app.handle(Request(
+                method="POST", path="/api/query",
+                headers={"content-type": "application/json"},
+                body=json.dumps(payload).encode("utf-8")))
+            return response.status, _normalized(response.body)
+
+        single = ThaliaApp(testbed=testbed,
+                           scores_path=tmp_path / "single.jsonl")
+        served = ThaliaApp(testbed=testbed,
+                           scores_path=tmp_path / "fleet.jsonl",
+                           fleet=WorkerFleet(testbed, workers=2))
+        try:
+            expected = post(single)
+            assert expected[0] == 200
+            assert post(served) == expected
+        finally:
+            served.close()
+            single.close()
+
     def test_sharded_requests_stick_to_one_worker(self, testbed):
         with WorkerFleet(testbed, workers=2) as fleet:
             payload = dict(CMU_QUERY)
@@ -110,12 +161,7 @@ class TestFleetExecution:
     def test_shared_cache_hit_across_workers(self, testbed):
         """A respawned (cold) worker replays its dead predecessor's work
         from the shared tier instead of recomputing."""
-        # Hedging stays off so the home worker has provably finished
-        # (response received ⇒ publish done, no duplicate in flight)
-        # before the SIGKILL — a hedged duplicate could otherwise die
-        # mid-publish and the second round would recompute.
-        with WorkerFleet(testbed, workers=2,
-                         hedge_quantile=None) as fleet:
+        with WorkerFleet(testbed, workers=2) as fleet:
             payload = dict(CMU_QUERY)
             body, status, _ = fleet.execute(payload)
             assert status == 200 and body["cached"] is False
@@ -132,11 +178,11 @@ class TestFleetExecution:
             assert fleet.counters["failed"] == 0
 
 
-class TestFleetAdmissionAndHedging:
+class TestFleetAdmission:
     def test_saturated_fleet_sheds_with_retry_after(self, testbed):
         ready, go = _gate()
         fleet = WorkerFleet(testbed, workers=1, queue_depth=1,
-                            hedge_quantile=None, _gate=(ready, go))
+                            _gate=(ready, go))
         try:
             results = []
             thread = threading.Thread(
@@ -157,40 +203,9 @@ class TestFleetAdmissionAndHedging:
             go.release()
             fleet.close()
 
-    def test_straggler_is_hedged_to_a_second_worker(self, testbed):
-        ready, go = _gate()
-        fleet = WorkerFleet(testbed, workers=2, hedge_quantile=0.5,
-                            hedge_floor_s=0.0, _gate=(ready, go))
-        try:
-            # Feed the adaptive quantile: with sub-millisecond observed
-            # latencies, anything gated counts as a straggler at once.
-            with fleet._lock:
-                for _ in range(MIN_HEDGE_SAMPLES):
-                    fleet._latencies.add(0.0005)
-            results = []
-            thread = threading.Thread(
-                target=lambda: results.append(fleet.execute(GATED)))
-            thread.start()
-            ready.acquire()            # primary delivered to worker A
-            ready.acquire()            # hedge delivered to worker B
-            go.release()
-            thread.join(timeout=30)
-            body, status, _ = results[0]
-            assert status == 200 and body == {"gated": True}
-            stats = fleet.stats()
-            assert stats["hedged"] == 1
-            assert stats["completed"] == 1
-            assert stats["cancelled"] == 1          # the losing attempt
-            assert 0 <= stats["hedge_wins"] <= 1
-            assert stats["slo"]["query"]["hedge_rate"] == 1.0
-        finally:
-            go.release()
-            fleet.close()
-
     def test_dead_worker_requests_are_requeued_not_failed(self, testbed):
         ready, go = _gate()
-        fleet = WorkerFleet(testbed, workers=2, hedge_quantile=None,
-                            _gate=(ready, go))
+        fleet = WorkerFleet(testbed, workers=2, _gate=(ready, go))
         try:
             results = []
             thread = threading.Thread(
@@ -227,7 +242,7 @@ class TestFleetShutdown:
         inflight = 2
         ready, go = _gate()
         fleet = WorkerFleet(testbed, workers=2, queue_depth=inflight,
-                            hedge_quantile=None, _gate=(ready, go))
+                            _gate=(ready, go))
         results = []
         lock = threading.Lock()
 
@@ -267,7 +282,7 @@ class TestFleetShutdown:
         inflight = 2
         ready, go = _gate()
         fleet = WorkerFleet(testbed, workers=2, queue_depth=inflight,
-                            hedge_quantile=None, _gate=(ready, go))
+                            _gate=(ready, go))
         app = ThaliaApp(testbed=testbed, fleet=fleet)
         server = ThaliaServer(app, port=0).start()
         statuses = []
@@ -312,15 +327,12 @@ class TestFleetShutdown:
             stats = fleet.stats()
             assert stats["enabled"] is True
             assert stats["workers"] == 2
-            for counter in ("dispatched", "completed", "hedged",
-                            "hedge_wins", "shed", "respawns", "cancelled",
-                            "requeued", "timeouts", "failed"):
+            for counter in ("dispatched", "completed", "shed",
+                            "respawns", "requeued", "timeouts", "failed"):
                 assert isinstance(stats[counter], int), counter
-            assert set(stats["hedge"]) \
-                == {"quantile", "floor_s", "current_delay_s"}
             row = stats["slo"]["query"]
             assert set(row["latency_ms"]) == {"p50", "p95", "p99"}
-            assert {"hedge_rate", "shed_rate"} <= set(row)
+            assert "shed_rate" in row
             assert len(stats["per_worker"]) == 2
             for worker_row in stats["per_worker"]:
                 assert isinstance(worker_row["cpu_s"], float)
