@@ -252,16 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="discarded warmup batches (default 1)")
     collect.add_argument("--label", default="", metavar="S",
                          help="free-form snapshot label")
-    collect.add_argument("--perturb", metavar="CSV", default=None,
+    collect.add_argument("--perturb", metavar="CSV", default="",
                          help="test-only: compile these queries (Q3,Q7) "
-                              "with the index-path rewrite disabled; "
-                              "defaults to $THALIA_PERF_PERTURB")
-    collect.add_argument("--perturb-estimates", metavar="CSV",
-                         default=None,
+                              "with the index-path rewrite disabled")
+    collect.add_argument("--perturb-estimates", metavar="CSV", default="",
                          help="test-only: plan these queries (Q3,Q7) "
                               "against x100-scaled cardinalities — "
-                              "identical answers, wrong estimates; "
-                              "defaults to $THALIA_PERF_PERTURB_EST")
+                              "identical answers, wrong estimates")
     collect.add_argument("--scenarios", metavar="PACK_DIR", default=None,
                          help="also measure the synthesized queries of a "
                               "generated scenario pack (thalia gen) as "
@@ -543,7 +540,6 @@ def _csv_ints(text: str, option: str) -> list[int]:
 
 def _cmd_perf(args: argparse.Namespace) -> int:
     import json
-    import os
     from pathlib import Path
 
     from .perf import (
@@ -555,13 +551,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     from .perf.schema import KIND_SNAPSHOT, SchemaError
 
     if args.perf_command == "collect":
-        perturb_csv = args.perturb if args.perturb is not None \
-            else os.environ.get("THALIA_PERF_PERTURB", "")
-        perturb = [name for name in perturb_csv.split(",") if name.strip()]
-        perturb_est_csv = args.perturb_estimates \
-            if args.perturb_estimates is not None \
-            else os.environ.get("THALIA_PERF_PERTURB_EST", "")
-        perturb_estimates = [name for name in perturb_est_csv.split(",")
+        perturb = [name for name in args.perturb.split(",") if name.strip()]
+        perturb_estimates = [name for name
+                             in args.perturb_estimates.split(",")
                              if name.strip()]
         snapshot = collect_snapshot(
             seed=args.seed,

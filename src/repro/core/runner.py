@@ -12,8 +12,8 @@ Since PR 4 the harness executes in two layers:
 
 Outcomes are reassembled by (system position, query number), never by
 completion order, so a parallel run's score cards are byte-identical to
-the serial run's — ``tests/core/test_runner_parallel.py`` and the CI
-``concurrency-smoke`` job hold us to that.
+the serial run's, and to a run with no result reuse at all —
+``tests/core/test_runner_parallel.py`` holds us to that.
 """
 
 from __future__ import annotations

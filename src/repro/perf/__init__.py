@@ -38,7 +38,6 @@ from .schema import (
     SchemaError,
     is_stamped,
     load_document,
-    migrate_legacy,
     stamp,
     summarize_snapshot,
     validate_document,
@@ -58,7 +57,6 @@ __all__ = [
     "host_fingerprint",
     "is_stamped",
     "load_document",
-    "migrate_legacy",
     "render_report",
     "stamp",
     "summarize_snapshot",

@@ -16,10 +16,7 @@ Three kinds exist:
   and versioned.
 * ``report`` — what ``thalia perf report`` emits.
 
-``BENCH_*.json`` files written before this framework existed have no
-header; :func:`migrate_legacy` stamps them (the legacy-reader shim), and
-:func:`load_document` applies it transparently so old trajectory files
-keep loading forever.
+A document without the header fails validation.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ class SchemaError(ValueError):
 
 
 # --------------------------------------------------------------------------- #
-# Stamping and migration
+# Stamping
 # --------------------------------------------------------------------------- #
 
 def is_stamped(doc: object) -> bool:
@@ -76,34 +73,13 @@ def stamp(kind: str, payload: dict) -> dict:
     return doc
 
 
-def migrate_legacy(doc: dict) -> dict:
-    """Stamp a pre-framework document (the legacy-reader shim).
-
-    The original bench scripts wrote bare reports with a ``"bench"``
-    name key and no envelope; those become ``kind="bench"`` documents
-    with their payload untouched.  Already-stamped documents pass
-    through unchanged.
-    """
-    if is_stamped(doc):
-        return doc
-    if not isinstance(doc, dict):
-        raise SchemaError("<legacy>", ["document is not a JSON object"])
-    if not isinstance(doc.get("bench"), str):
-        raise SchemaError(
-            "<legacy>",
-            ["unstamped document has no 'bench' name; cannot infer kind"])
-    return stamp(KIND_BENCH, doc)
-
-
 def load_document(path: str | Path, expect_kind: str | None = None) -> dict:
-    """Read, migrate (if legacy) and validate one perf JSON document."""
+    """Read and validate one perf JSON document."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise SchemaError(str(path), [f"unreadable: {exc}"]) from exc
-    if isinstance(doc, dict) and not is_stamped(doc):
-        doc = migrate_legacy(doc)
     problems = validate_document(doc)
     if problems:
         raise SchemaError(str(path), problems)
@@ -342,7 +318,6 @@ __all__ = [
     "SchemaError",
     "is_stamped",
     "load_document",
-    "migrate_legacy",
     "stamp",
     "summarize_snapshot",
     "validate_document",

@@ -456,7 +456,16 @@ class _HttpHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self, include_body: bool = True) -> None:
         parsed = urlsplit(self.path)
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip(" \t")
+        if not (declared.isascii() and declared.isdigit()):
+            # The body's extent is unknown, so the connection cannot be
+            # reused: the Connection: close header makes the handler drop
+            # it after this answer.
+            self._send(Response.of_json(
+                {"error": f"invalid Content-Length: {declared!r}"},
+                status=400, headers={"Connection": "close"}), include_body)
+            return
+        length = int(declared)
         request = Request(
             method=self.command,
             path=parsed.path,
@@ -467,6 +476,9 @@ class _HttpHandler(BaseHTTPRequestHandler):
             body=self.rfile.read(length) if length else b"",
         )
         response = self.server.app.handle(request)  # type: ignore[attr-defined]
+        self._send(response, include_body)
+
+    def _send(self, response: Response, include_body: bool) -> None:
         self.send_response(response.status)
         for key, value in response.headers.items():
             self.send_header(key, value)

@@ -27,7 +27,10 @@ scenario pack with its synthesized join pack — and checks:
   the *switch query* runs a nested loop at scale 1 but a hash join at
   the large scale;
 * EXPLAIN ANALYZE reports root rows equal to the result cardinality,
-  and build and probe actuals on every hash-join node.
+  and build and probe actuals on every hash-join node;
+* the unfiltered self-join runs at least :data:`MIN_JOIN_SPEEDUP` times
+  faster as a hash join than as a forced nested loop at the large scale
+  (both timed on the same host in the same process).
 
 Run it with::
 
@@ -56,6 +59,11 @@ ENGINES = ("interpreter", "rule-based", "costed", "nested-loop",
 SCALE = 8
 CASES = 25
 PACK_SEED = 7
+
+#: The hash join must beat the forced nested loop on
+#: :data:`SPEEDUP_JOIN` at :data:`SCALE` by at least this factor.
+MIN_JOIN_SPEEDUP = 5.0
+SPEEDUP_JOIN = "cmu-self-lecturer"
 
 #: Handwritten multi-source joins over the canonical testbed.  The first
 #: one is the *switch query*: per-side ``Day`` filters keep both inputs
@@ -190,6 +198,17 @@ def _verify(source: str, documents, statistics) -> tuple[dict, list[str]]:
     return plan.decisions, problems
 
 
+def _best_execute_ns(plan, documents, repeat: int = 5) -> int:
+    """Best-of-*repeat* wall time of ``plan.execute`` after one warm-up."""
+    plan.execute(documents)
+    timings = []
+    for _ in range(repeat):
+        started = time.perf_counter_ns()
+        plan.execute(documents)
+        timings.append(time.perf_counter_ns() - started)
+    return min(timings)
+
+
 def main() -> int:
     from ..catalogs import build_testbed, paper_universities
     from ..core.queries import QUERIES
@@ -239,6 +258,17 @@ def main() -> int:
                   f"loop={decisions.get('loop-joins', 0)}")
     _check(f"hash stages chosen at scale {SCALE}", hash_joins >= 1,
            f"{hash_joins} hash stages across {len(JOIN_QUERIES)} joins")
+
+    speedup_source = dict(JOIN_QUERIES)[SPEEDUP_JOIN]
+    hashed = _best_execute_ns(
+        compile_query(speedup_source, statistics=statistics), documents)
+    looped = _best_execute_ns(
+        compile_query(speedup_source, statistics=statistics,
+                      join_search=False), documents)
+    _check(f"{SPEEDUP_JOIN} hash join >= x{MIN_JOIN_SPEEDUP} over the "
+           f"nested loop", looped >= MIN_JOIN_SPEEDUP * hashed,
+           f"x{looped / hashed:.2f}: loop {looped / 1e6:.1f} ms, "
+           f"hash {hashed / 1e6:.1f} ms")
 
     small_decisions, problems = _verify(switch_source, *testbeds[1])
     _check(f"{switch_name} outcomes agree at scale 1", not problems,

@@ -61,12 +61,19 @@ from .tokens import EOF, NAME, NUMBER, STRING, SYMBOL, VARIABLE, Token
 
 _COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
+#: Deepest expression nesting a query may use (the top-level expression
+#: is level 1).  Each level costs the parser, compiler and evaluators
+#: several Python frames, so a deeper query gets a located syntax error
+#: instead of overflowing the interpreter stack in some later stage.
+MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, source: str) -> None:
         self._source = source
         self._tokens = tokenize(source)
         self._index = 0
+        self._depth = 0
 
     # -- token utilities ------------------------------------------------- #
 
@@ -82,6 +89,12 @@ class _Parser:
 
     def _error(self, message: str) -> XQuerySyntaxError:
         return XQuerySyntaxError(message, self._source, self._current.position)
+
+    def _descend(self) -> None:
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise self._error(
+                f"expression nested deeper than {MAX_NESTING} levels")
 
     def _expect_symbol(self, symbol: str) -> None:
         if not self._current.is_symbol(symbol):
@@ -114,14 +127,18 @@ class _Parser:
         return items[0] if len(items) == 1 else Sequence(tuple(items))
 
     def _parse_expr(self) -> Expr:
+        self._descend()
         if self._current.is_keyword("for") or self._current.is_keyword("let"):
-            return self._parse_flwor()
-        if self._current.is_keyword("if"):
-            return self._parse_if()
-        if self._current.is_keyword("some") or \
+            expr = self._parse_flwor()
+        elif self._current.is_keyword("if"):
+            expr = self._parse_if()
+        elif self._current.is_keyword("some") or \
                 self._current.is_keyword("every"):
-            return self._parse_quantified()
-        return self._parse_or()
+            expr = self._parse_quantified()
+        else:
+            expr = self._parse_or()
+        self._depth -= 1
+        return expr
 
     def _parse_quantified(self) -> Quantified:
         kind = self._advance().value
@@ -252,13 +269,15 @@ class _Parser:
         return left
 
     def _parse_unary(self) -> Expr:
-        if self._current.is_keyword("not"):
-            self._advance()
-            return Not(self._parse_unary())
-        if self._current.is_symbol("-"):
-            self._advance()
-            return Arithmetic("-", Literal(0.0), self._parse_unary())
-        return self._parse_path()
+        if not (self._current.is_keyword("not")
+                or self._current.is_symbol("-")):
+            return self._parse_path()
+        self._descend()
+        negate = self._advance().value == "-"
+        operand = self._parse_unary()
+        self._depth -= 1
+        return Arithmetic("-", Literal(0.0), operand) if negate \
+            else Not(operand)
 
     def _parse_path(self) -> Expr:
         base = self._parse_primary()

@@ -2,6 +2,8 @@
 
 from repro.core import run_all, run_benchmark
 from repro.core.queries import QUERIES
+from repro.core.runner import run_query
+from repro.core.scoring import ScoreCard
 from repro.systems import cohera, iwiz, thalia_mediator
 from repro.xquery import shared_result_cache
 
@@ -22,6 +24,21 @@ class TestParallelDeterminism:
         shared_result_cache().clear()
         parallel = run_all(_systems(), paper_testbed, workers=4)
         assert [card.to_json() for card in serial] == \
+            [card.to_json() for card in parallel]
+
+    def test_parallel_matches_run_without_result_reuse(self, paper_testbed):
+        # Clearing the shared cache before every (system, query) cell
+        # recomputes each gold answer and source integration from scratch.
+        cache = shared_result_cache()
+        unshared = []
+        for system in _systems():
+            card = ScoreCard(system=system.name)
+            for query in QUERIES:
+                cache.clear()
+                card.outcomes.append(run_query(system, query, paper_testbed))
+            unshared.append(card)
+        parallel = run_all(_systems(), paper_testbed, workers=4)
+        assert [card.to_json() for card in unshared] == \
             [card.to_json() for card in parallel]
 
     def test_outcomes_in_query_order(self, paper_testbed):

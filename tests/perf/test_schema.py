@@ -1,4 +1,4 @@
-"""Envelope, validation, migration and the repo's own trajectory files."""
+"""Envelope, validation and the repo's own trajectory files."""
 
 import json
 from pathlib import Path
@@ -14,7 +14,6 @@ from repro.perf.schema import (
     SchemaError,
     is_stamped,
     load_document,
-    migrate_legacy,
     stamp,
     summarize_snapshot,
     validate_document,
@@ -90,41 +89,6 @@ class TestValidation:
                    for p in validate_document(stamp(KIND_BENCH, {})))
 
 
-class TestLegacyShim:
-    def test_unstamped_bench_migrates(self):
-        legacy = {"bench": "bench_query", "repeat": 30}
-        doc = migrate_legacy(legacy)
-        assert doc["kind"] == KIND_BENCH
-        assert doc["bench"] == "bench_query"
-        assert doc["repeat"] == 30
-        assert validate_document(doc) == []
-
-    def test_stamped_doc_passes_through(self, baseline_snapshot):
-        assert migrate_legacy(baseline_snapshot) is baseline_snapshot
-
-    def test_unrecognizable_legacy_rejected(self):
-        with pytest.raises(SchemaError):
-            migrate_legacy({"mystery": True})
-
-    def test_load_document_migrates_on_read(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps({"bench": "bench_scale", "tiers": []}))
-        doc = load_document(path)
-        assert doc["kind"] == KIND_BENCH
-        assert doc["tiers"] == []
-
-    def test_stripping_the_envelope_still_loads(self, tmp_path):
-        """Round trip: stamped file, envelope removed, reloads via shim."""
-        source = REPO_ROOT / "BENCH_query.json"
-        stamped = json.loads(source.read_text(encoding="utf-8"))
-        stripped = {key: value for key, value in stamped.items()
-                    if key not in ("schema", "schema_version", "kind")}
-        path = tmp_path / "stripped.json"
-        path.write_text(json.dumps(stripped))
-        doc = load_document(path, expect_kind=KIND_BENCH)
-        assert doc["bench"] == stamped["bench"]
-
-
 class TestLoadDocument:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError):
@@ -141,6 +105,12 @@ class TestLoadDocument:
         path.write_text(json.dumps(baseline_snapshot))
         with pytest.raises(SchemaError, match="expected a 'bench'"):
             load_document(path, expect_kind=KIND_BENCH)
+
+    def test_unstamped_document_rejected(self, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"bench": "bench_x", "tiers": []}))
+        with pytest.raises(SchemaError, match="schema:"):
+            load_document(path)
 
     def test_valid_snapshot_loads(self, tmp_path, baseline_snapshot):
         path = tmp_path / "snap.json"
@@ -160,8 +130,7 @@ class TestRepoTrajectoryFiles:
 
     def test_all_three_bench_files_exist(self):
         names = {path.name for path in REPO_ROOT.glob("BENCH_*.json")}
-        assert {"BENCH_query.json", "BENCH_concurrency.json",
-                "BENCH_scale.json"} <= names
+        assert "BENCH_fleet.json" in names
 
     def test_committed_baseline_validates(self):
         doc = load_document(REPO_ROOT / "PERF_BASELINE.json",

@@ -105,6 +105,15 @@ class TestBatchEndpoint:
         statuses = [result["status"] for result in body["results"]]
         assert statuses == [200, 400, 404]
 
+    def test_too_deep_item_does_not_sink_batch(self, app):
+        status, body = post(app, "/api/query/batch", {"queries": [
+            {"xquery": CMU_QUERY, "source": "cmu"},
+            {"xquery": "not " * 1000 + "true()"},
+        ]})
+        assert status == 200
+        assert [result["status"] for result in body["results"]] == \
+            [200, 400]
+
     def test_rejects_malformed_bodies(self, app):
         assert post(app, "/api/query/batch", {"queries": []})[0] == 400
         assert post(app, "/api/query/batch", {"nope": 1})[0] == 400

@@ -99,6 +99,13 @@ class TestExplainEndpoint:
         assert "XQuerySyntaxError" in payload["error"]
         assert payload["line"] >= 1
 
+    def test_too_deeply_nested_query_400(self, base):
+        status, _headers, body = post_json(
+            base, "/api/explain",
+            {"xquery": "count(" * 1000 + "1" + ")" * 1000})
+        assert status == 400
+        assert "nested deeper than" in json.loads(body)["error"]
+
     def test_malformed_body_rejected(self, base):
         status, _headers, _body = post_json(base, "/api/explain",
                                             {"analyze": True})

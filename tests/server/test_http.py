@@ -6,6 +6,7 @@ tests boot private servers to exercise cold caches and restarts.
 
 import gzip
 import json
+import socket
 import urllib.error
 import urllib.request
 import zipfile
@@ -234,6 +235,14 @@ class TestApi:
         assert status == 400
         assert "error" in json.loads(body)
 
+    def test_run_query_too_deeply_nested_400(self, base):
+        status, _, body = post_json(base, "/api/query",
+                                    {"xquery": "(" * 1000 + "1" + ")" * 1000})
+        payload = json.loads(body)
+        assert status == 400
+        assert "nested deeper than" in payload["error"]
+        assert payload["line"] == 1
+
     def test_run_query_unknown_source_404(self, base):
         status, _, _ = post_json(base, "/api/query",
                                  {"xquery": "1", "source": "nope"})
@@ -242,6 +251,22 @@ class TestApi:
     def test_run_query_non_json_400(self, base):
         status, _, _ = fetch(base, "/api/query", data=b"not json")
         assert status == 400
+
+
+class TestBadContentLength:
+    @pytest.mark.parametrize("declared", ["abc", "-1"])
+    def test_answers_400_and_closes(self, server, declared):
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5) as sock:
+            sock.sendall(f"POST /api/query HTTP/1.1\r\nHost: t\r\n"
+                         f"Content-Length: {declared}\r\n\r\n".encode())
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1:2] == [b"400"]
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
 
 
 class TestScoreUpload:

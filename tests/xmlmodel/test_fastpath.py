@@ -31,7 +31,8 @@ from repro.xmlmodel import (
 )
 
 # ---------------------------------------------------------------------- #
-# Reference implementations: the pre-guard escape chains.
+# Reference implementations: the pre-guard escape chains and the
+# recursive serializer built on them.
 # ---------------------------------------------------------------------- #
 
 def _legacy_escape_text(value: str) -> str:
@@ -47,6 +48,31 @@ def _legacy_escape_attr(value: str) -> str:
                  .replace('"', "&quot;")
                  .replace("\n", "&#10;")
                  .replace("\t", "&#9;"))
+
+
+def _legacy_open_tag(node: XmlElement, self_closing: bool) -> str:
+    attrs = "".join(f' {key}="{_legacy_escape_attr(value)}"'
+                    for key, value in node.attrib.items())
+    return f"<{node.tag}{attrs}{'/' if self_closing else ''}>"
+
+
+def _legacy_serialize_node(node: XmlElement, parts: list[str]) -> None:
+    if not node.children:
+        parts.append(_legacy_open_tag(node, self_closing=True))
+        return
+    parts.append(_legacy_open_tag(node, self_closing=False))
+    for child in node.children:
+        if isinstance(child, str):
+            parts.append(_legacy_escape_text(child))
+        else:
+            _legacy_serialize_node(child, parts)
+    parts.append(f"</{node.tag}>")
+
+
+def _legacy_serialize(document) -> str:
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n']
+    _legacy_serialize_node(document.root, parts)
+    return "".join(parts)
 
 
 _any_text = st.text(
@@ -92,6 +118,10 @@ def scaled_document():
 
 
 class TestSerializeDigest:
+    def test_matches_recursive_serializer(self, scaled_document):
+        assert serialize(scaled_document, xml_declaration=True) == \
+            _legacy_serialize(scaled_document)
+
     def test_digest_matches_separate_hash(self, scaled_document):
         text, sha = serialize_digest(scaled_document, xml_declaration=True)
         assert text == serialize(scaled_document, xml_declaration=True)

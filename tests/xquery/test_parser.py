@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.xquery import XQuerySyntaxError
-from repro.xquery.parser import parse_query
+from repro.xquery import XQuerySyntaxError, collect_statistics
+from repro.xquery.differential import outcomes
+from repro.xquery.parser import MAX_NESTING, parse_query
 from repro.xquery.ast import (
     Comparison,
     ElementConstructor,
@@ -243,3 +244,38 @@ class TestAllPaperQueriesParse:
         for source in self.SOURCES:
             node = parse_query(source)
             assert isinstance(node, FLWOR)
+
+
+#: One query shape per way the grammar nests: ``n`` levels inside the
+#: top-level expression, which is itself level 1.
+NESTED = {
+    "parens": lambda n: "(" * n + "1" + ")" * n,
+    "calls": lambda n: "count(" * n + "1" + ")" * n,
+    "predicates": lambda n: ('doc("cmu.xml")/cmu/Course'
+                             + "[Day" * n + "]" * n),
+    "not-chain": lambda n: "not " * n + "true()",
+    "minus-chain": lambda n: "- " * n + "1",
+}
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_deep_nesting_is_a_located_syntax_error(self, shape):
+        with pytest.raises(XQuerySyntaxError,
+                           match="nested deeper than") as raised:
+            parse_query(NESTED[shape](1000))
+        assert raised.value.line == 1
+        assert raised.value.column > 1
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_deepest_accepted_query_agrees_across_engines(
+            self, shape, paper_testbed):
+        with pytest.raises(XQuerySyntaxError):
+            parse_query(NESTED[shape](MAX_NESTING))
+        documents = paper_testbed.documents
+        statistics = collect_statistics(
+            documents, fingerprint=paper_testbed.content_fingerprint())
+        results = outcomes(NESTED[shape](MAX_NESTING - 1), documents,
+                           statistics)
+        assert len(set(results.values())) == 1
+        assert results["costed"][:1] != ("raised",)
