@@ -184,9 +184,6 @@ class Testbed:
             self._content_fingerprints[memo_key] = value
         return value
 
-    def all_courses(self) -> list[CanonicalCourse]:
-        return [course for bundle in self for course in bundle.courses]
-
     # -- persistence ------------------------------------------------------#
 
     def save(self, directory: str | Path) -> Path:

@@ -24,10 +24,6 @@ class HonorRollEntry:
     submitter: str
     date: str                  # ISO date string supplied by the submitter
 
-    @property
-    def rank_key(self):
-        return self.card.sort_key
-
     def to_dict(self) -> dict:
         return {
             "system": self.card.system,

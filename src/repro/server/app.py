@@ -35,7 +35,7 @@ from ..xquery import (
 )
 from .cache import CacheEntry, ContentCache
 from .handlers import build_router
-from .metrics import ServerMetrics
+from .metrics import ServerMetrics, percentile
 from .router import Request, Response
 from .store import HonorRollStore
 
@@ -217,11 +217,10 @@ class ThaliaApp:
             errors = sorted(self._planner_q_errors)
         quantiles = None
         if errors:
-            def at(q: float) -> float:
-                rank = max(0, -(-int(q * 100) * len(errors) // 100) - 1)
-                return round(errors[rank], 3)
-            quantiles = {"count": len(errors), "p50": at(0.50),
-                         "p95": at(0.95), "max": round(errors[-1], 3)}
+            quantiles = {"count": len(errors),
+                         "p50": round(percentile(errors, 0.50), 3),
+                         "p95": round(percentile(errors, 0.95), 3),
+                         "max": round(errors[-1], 3)}
         return {
             "statistics_cache": statistics_cache_stats(),
             "like_cache": like_cache_stats(),

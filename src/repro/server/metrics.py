@@ -81,15 +81,9 @@ class LatencyReservoir:
     def quantiles_ms(self) -> dict:
         """The standard p50/p95/p99 block, in milliseconds."""
         ordered = sorted(self._samples)
-
-        def at(fraction: float) -> float:
-            if not ordered:
-                return 0.0
-            rank = max(0, min(len(ordered) - 1,
-                              round(fraction * (len(ordered) - 1))))
-            return round(1000 * ordered[rank], 3)
-
-        return {"p50": at(0.50), "p95": at(0.95), "p99": at(0.99)}
+        return {name: round(1000 * percentile(ordered, fraction), 3)
+                for name, fraction in (("p50", 0.50), ("p95", 0.95),
+                                       ("p99", 0.99))}
 
 
 @dataclass

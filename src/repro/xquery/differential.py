@@ -17,8 +17,9 @@ An :func:`outcome` is the rendered result sequence, or
 :class:`~repro.xquery.errors.XQueryError`; engines agree when their
 outcomes are equal.  The unit and property tests call :func:`outcomes`
 directly; :func:`main` drives the end-to-end corpus — the twelve
-benchmark queries, handwritten multi-``doc()`` joins and a generated
-scenario pack with its synthesized join pack — and checks:
+benchmark queries, handwritten multi-``doc()`` joins, the WHERE-fusion
+group (at both scales) and a generated scenario pack with its
+synthesized join pack — and checks:
 
 * every outcome agrees across all five engines, and none raises;
 * at least one of the twelve switches physical strategy by cost at
@@ -94,6 +95,27 @@ JOIN_QUERIES = [
      '$b in doc("umass.xml")/umass/Course '
      "where $a/Time = $b/Time and $a/Room != $b/Room "
      "return $b/CourseNum"),
+]
+
+#: WHERE-fusion corner cases over the canonical testbed: the loop
+#: variable inside a nested step predicate, where ``.`` is the inner
+#: item (the conjunct must stay in WHERE), and constant-folded operands
+#: that must still become a LIKE comparison and an index-backed path.
+FUSION_QUERIES = [
+    ("nested-other-document",
+     "for $b in doc('cmu.xml')/cmu/Course "
+     "where exists(doc('brown.xml')/brown/Course[$b/Day = 'F']) "
+     "return $b/CourseNum"),
+    ("nested-own-path",
+     "for $b in doc('cmu.xml')/cmu/Course "
+     "where $b/Lecturer[$b/Day = 'F'] != '' return $b/CourseNum"),
+    ("folded-like",
+     "for $b in doc('cmu.xml')/cmu/Course "
+     "where $b/Title = (if (1 = 1) then '%Data%' else 'x') "
+     "return $b/CourseNum"),
+    ("folded-doc",
+     "for $b in doc(if (1 = 1) then 'cmu.xml' else 'x')/cmu/Course "
+     "where $b/Day = 'F' return $b/CourseNum"),
 ]
 
 
@@ -280,6 +302,15 @@ def main() -> int:
            f"scale 1 loop={small_decisions.get('loop-joins', 0)}/"
            f"hash={small_decisions.get('hash-joins', 0)}, "
            f"scale {SCALE} hash={large.get('hash-joins', 0)}")
+
+    print(f"where-fusion group at scales {sorted(testbeds)}:")
+    failures = [f"{name} at scale {scale}: {problem}"
+                for scale in sorted(testbeds)
+                for name, source in FUSION_QUERIES
+                for problem in _verify(source, *testbeds[scale])[1]]
+    _check("fusion outcomes agree", not failures,
+           "; ".join(failures[:3])
+           or f"{len(FUSION_QUERIES)} queries x {len(testbeds)} scales")
 
     print(f"generated scenario pack seed={PACK_SEED} "
           f"cases={CASES}:")

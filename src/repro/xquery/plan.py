@@ -1,10 +1,11 @@
 """Compiled query plans: compile once, run many.
 
 ``compile_query(source)`` lowers the parsed AST into a small tree of
-logical operators after the :mod:`repro.xquery.rewrite` passes ran
-(constant folding, WHERE-to-predicate fusion).  Path expressions rooted
-at a constant ``doc("name")`` call become *index-backed* scans over the
-document's lazily-built :class:`~repro.xmlmodel.indexes.DocumentIndex`.
+logical operators in one pass that also applies every rule-based
+rewrite: constant folding (a literal-operand operator is run once and
+replaced by its value), WHERE-to-predicate fusion, and *index-backed*
+paths — path expressions rooted at a constant ``doc("name")`` call scan
+the document's lazily-built :class:`~repro.xmlmodel.indexes.DocumentIndex`.
 
 With ``compile_query(source, statistics=...)`` a cost-based planning
 pass (see :mod:`repro.xquery.stats` and :mod:`repro.xquery.cost`) runs
@@ -64,7 +65,6 @@ from .ast import (
     ForClause,
     FunctionCall,
     IfExpr,
-    LetClause,
     Literal,
     Logical,
     Not,
@@ -74,7 +74,7 @@ from .ast import (
     VarRef,
 )
 from .context import DocumentResolver, DynamicContext
-from .errors import XQueryTypeError
+from .errors import XQueryError, XQueryTypeError
 from .evaluator import (
     _compare_atomic,
     _general_compare,
@@ -88,7 +88,6 @@ from .functions import (
     uses_builtin_doc,
 )
 from .parser import parse_query
-from .rewrite import fold_constants, fuse_where
 from .runtime import (
     Seq,
     atomize,
@@ -1315,12 +1314,22 @@ del _op_class
 # --------------------------------------------------------------------------- #
 
 class _Lowerer:
-    """AST → operator tree, applying fusion and index-path selection.
+    """AST → operator tree in one pass, applying every rule-based rewrite.
 
-    ``index_paths=False`` disables the index-backed ``doc()`` rewrite —
-    a test-only perturbation knob (see :func:`compile_query`) that forces
-    a visibly different, slower plan so the perf regression gate can be
-    exercised end to end.
+    * **Constant folding** — a comparison, arithmetic, ``not`` or
+      logical whose lowered operands are all literals is run once, by
+      the plan's own operator, and replaced by its single atomic value;
+      an operator that raises is kept, so the error still surfaces at
+      run time.  A logical with a literal left operand that decides the
+      result alone folds too (the right operand never runs), and an
+      ``if`` over a literal condition becomes the branch it takes.
+      LIKE and constant-``doc()`` detection read the folded operands.
+    * **WHERE-to-predicate fusion** — see :meth:`_fuse`.
+    * **Index-backed paths** — a path rooted at a constant ``doc()``
+      becomes an :class:`IndexedPathOp`.  ``index_paths=False``
+      disables it: a test-only perturbation knob (see
+      :func:`compile_query`) that forces a visibly different, slower
+      plan so the perf regression gate can be exercised end to end.
     """
 
     def __init__(self, functions: FunctionRegistry,
@@ -1328,6 +1337,7 @@ class _Lowerer:
         self.functions = functions
         self.builtin_doc = uses_builtin_doc(functions)
         self.index_paths = index_paths
+        self.folds = 0
         self.where_fused = 0
         self.indexed_paths = 0
 
@@ -1341,24 +1351,21 @@ class _Lowerer:
         if isinstance(node, FunctionCall):
             return self._lower_call(node)
         if isinstance(node, PathExpr):
-            return self._lower_path(node, pushed_on_last=0)
+            return self._lower_path(node)
         if isinstance(node, Comparison):
-            return self._lower_comparison(node)
+            return self._fold(self._lower_comparison(node))
         if isinstance(node, Arithmetic):
-            return ArithmeticOp(node.op, self.lower(node.left),
-                                self.lower(node.right))
+            return self._fold(ArithmeticOp(node.op, self.lower(node.left),
+                                           self.lower(node.right)))
         if isinstance(node, Logical):
-            return LogicalOp(node.op, self.lower(node.left),
-                             self.lower(node.right))
+            return self._lower_logical(node)
         if isinstance(node, Not):
-            return NotOp(self.lower(node.operand))
+            return self._fold(NotOp(self.lower(node.operand)))
         if isinstance(node, Sequence):
             return SequenceOp(tuple(self.lower(item)
                                     for item in node.items))
         if isinstance(node, IfExpr):
-            return IfOp(self.lower(node.condition),
-                        self.lower(node.then_branch),
-                        self.lower(node.else_branch))
+            return self._lower_if(node)
         if isinstance(node, FLWOR):
             return self._lower_flwor(node)
         if isinstance(node, Quantified):
@@ -1373,72 +1380,133 @@ class _Lowerer:
         raise TypeError(  # pragma: no cover - parser emits known nodes
             f"cannot lower AST node {type(node).__name__}")
 
-    def _lower_call(self, node: FunctionCall) -> Op:
-        if self.builtin_doc and node.name in ("doc", "fn:doc") \
-                and len(node.args) == 1:
-            arg = node.args[0]
-            if isinstance(arg, Literal) and isinstance(arg.value, str):
-                return DocOp(arg.value)
-        return FunctionCallOp(node.name,
-                              tuple(self.lower(arg) for arg in node.args))
+    # -- constant folding --------------------------------------------------- #
 
-    def _lower_path(self, node: PathExpr, pushed_on_last: int) -> Op:
+    def _fold(self, op: Op) -> Op:
+        if not all(isinstance(child, LiteralOp) for child in _children(op)):
+            return op
+        try:
+            value = op.run(DynamicContext(), _ExecState())
+        except XQueryError:
+            return op
+        if len(value) == 1 and isinstance(value[0], (str, float, bool)):
+            self.folds += 1
+            return LiteralOp(value[0])
+        return op
+
+    def _lower_discarded(self, node: Expr) -> None:
+        """Lower a subtree that folding drops: its constant folds count,
+        its fusions and index paths never reach the plan."""
+        counters = self.where_fused, self.indexed_paths
+        self.lower(node)
+        self.where_fused, self.indexed_paths = counters
+
+    def _lower_logical(self, node: Logical) -> Op:
+        left = self.lower(node.left)
+        decides = node.op == "or"
+        if isinstance(left, LiteralOp) \
+                and effective_boolean_value([left.value]) == decides:
+            # Short circuit: the right operand never runs, so dropping
+            # it is exact.
+            self._lower_discarded(node.right)
+            self.folds += 1
+            return LiteralOp(decides)
+        return self._fold(LogicalOp(node.op, left, self.lower(node.right)))
+
+    def _lower_if(self, node: IfExpr) -> Op:
+        condition = self.lower(node.condition)
+        if not isinstance(condition, LiteralOp):
+            return IfOp(condition, self.lower(node.then_branch),
+                        self.lower(node.else_branch))
+        taken, dropped = node.then_branch, node.else_branch
+        if not effective_boolean_value([condition.value]):
+            taken, dropped = dropped, taken
+        self._lower_discarded(dropped)
+        self.folds += 1
+        return self.lower(taken)
+
+    # -- calls, paths, comparisons ----------------------------------------- #
+
+    def _lower_call(self, node: FunctionCall) -> Op:
+        args = tuple(self.lower(arg) for arg in node.args)
+        if self.builtin_doc and node.name in ("doc", "fn:doc") \
+                and len(args) == 1 and isinstance(args[0], LiteralOp) \
+                and isinstance(args[0].value, str):
+            return DocOp(args[0].value)
+        return FunctionCallOp(node.name, args)
+
+    def _lower_path(self, node: PathExpr) -> Op:
         base = self.lower(node.base)
-        steps: list[StepPlan] = []
-        for position, step in enumerate(node.steps):
-            pushed_count = pushed_on_last \
-                if position == len(node.steps) - 1 else 0
-            total = len(step.predicates)
-            predicates = tuple(
-                (self.lower(predicate), index >= total - pushed_count)
-                for index, predicate in enumerate(step.predicates))
-            steps.append(StepPlan(step.axis, step.kind, step.name,
-                                  predicates))
+        steps = tuple(
+            StepPlan(step.axis, step.kind, step.name,
+                     tuple((self.lower(predicate), False)
+                           for predicate in step.predicates))
+            for step in node.steps)
         if self.index_paths and isinstance(base, DocOp) and steps:
             self.indexed_paths += 1
-            return IndexedPathOp(base.name, tuple(steps))
-        return PathOp(base, tuple(steps))
+            return IndexedPathOp(base.name, steps)
+        return PathOp(base, steps)
 
     def _lower_comparison(self, node: Comparison) -> Op:
+        left = self.lower(node.left)
+        right = self.lower(node.right)
         like = None
         if node.op in ("=", "!="):
-            pattern_text, side = self._literal_like(node.right, "left")
-            if pattern_text is None:
-                pattern_text, side = self._literal_like(node.left, "right")
-            if pattern_text is not None:
-                like = (pattern_text, _like_pattern(pattern_text), side)
-        return ComparisonOp(node.op, self.lower(node.left),
-                            self.lower(node.right), like)
+            for operand, side in ((right, "left"), (left, "right")):
+                if isinstance(operand, LiteralOp) \
+                        and isinstance(operand.value, str) \
+                        and "%" in operand.value:
+                    like = (operand.value, _like_pattern(operand.value),
+                            side)
+                    break
+        return ComparisonOp(node.op, left, right, like)
 
-    @staticmethod
-    def _literal_like(node: Expr, side: str) -> tuple[str | None, str]:
-        if isinstance(node, Literal) and isinstance(node.value, str) \
-                and "%" in node.value:
-            return node.value, side
-        return None, side
+    # -- FLWOR and fusion --------------------------------------------------- #
 
     def _lower_flwor(self, node: FLWOR) -> Op:
-        fused, pushed, fused_at = fuse_where(node)
-        self.where_fused += len(pushed)
-        clauses: list[tuple[str, str, Op]] = []
-        for position, clause in enumerate(fused.clauses):
-            if isinstance(clause, ForClause):
-                if pushed and position == fused_at \
-                        and isinstance(clause.source, PathExpr):
-                    source = self._lower_path(clause.source,
-                                              pushed_on_last=len(pushed))
-                else:
-                    source = self.lower(clause.source)
-                clauses.append(("for", clause.variable, source))
-            else:
-                assert isinstance(clause, LetClause)
-                clauses.append(("let", clause.variable,
-                                self.lower(clause.value)))
-        where = self.lower(fused.where) if fused.where is not None else None
+        clauses = tuple(
+            ("for", clause.variable, self.lower(clause.source))
+            if isinstance(clause, ForClause)
+            else ("let", clause.variable, self.lower(clause.value))
+            for clause in node.clauses)
+        where = self.lower(node.where) if node.where is not None else None
+        if where is not None and self._fuse(clauses, where):
+            where = None
         order_specs = tuple((self.lower(spec.key), spec.descending)
-                            for spec in fused.order_specs)
-        return FLWOROp(tuple(clauses), where, order_specs,
-                       self.lower(fused.returns))
+                            for spec in node.order_specs)
+        return FLWOROp(clauses, where, order_specs,
+                       self.lower(node.returns))
+
+    def _fuse(self, clauses: tuple, where: Op) -> bool:
+        """WHERE-to-predicate fusion; True when the WHERE moved.
+
+        For ``for $b in path where C($b) return R`` the conjuncts of
+        ``C`` become pushed predicates on the path's last step (``$b``
+        becomes ``.``), so the plan filters during the scan instead of
+        materializing every binding first.  The WHERE fuses onto the
+        innermost clause, which must be a ``for`` over a path ending in
+        an element step, and only when every conjunct passes
+        :func:`_fusable` and mentions no outer binding of this FLWOR — a
+        conjunct over an outer binding is a join predicate, left in
+        WHERE for the join planner.  Fusion is all-or-nothing, so the
+        conjunct short-circuit order — and therefore which error
+        surfaces first — is unchanged.
+        """
+        kind, variable, source = clauses[-1]
+        if kind != "for" or not isinstance(source, (PathOp, IndexedPathOp)) \
+                or not source.steps or source.steps[-1].kind != "element":
+            return False
+        outer = {name for _kind, name, _op in clauses[:-1]} - {variable}
+        conjuncts = _split_conjuncts_op(where)
+        if not all(_fusable(conjunct, variable)
+                   and not _op_variables(conjunct) & outer
+                   for conjunct in conjuncts):
+            return False
+        last = source.steps[-1]
+        last.predicates += tuple((_focus_on(conjunct, variable), True)
+                                 for conjunct in conjuncts)
+        self.where_fused += len(conjuncts)
+        return True
 
 
 # --------------------------------------------------------------------------- #
@@ -1993,6 +2061,15 @@ _CONTEXT = "."
 #: of the step's (named) elements.
 _FOCUS = {_CONTEXT: "element"}
 
+#: Builtins guaranteed to return a single boolean.
+_BOOLEAN_FUNCTIONS = frozenset({
+    "contains", "starts-with", "ends-with", "matches",
+    "empty", "exists", "boolean", "not", "true", "false",
+})
+
+#: Builtins whose value depends on the predicate focus.
+_FOCUS_FUNCTIONS = frozenset({"position", "last"})
+
 #: Operators whose value changes only when one of their children's does.
 _TRANSPARENT_OPS = (FunctionCallOp, SequenceOp, IfOp, LogicalOp, NotOp,
                     ArithmeticOp, ComparisonOp, PathOp, IndexedPathOp)
@@ -2188,9 +2265,12 @@ def _op_cannot_raise(op: Op, env: dict[str, str]) -> bool:
 
 def _boolean_shaped(op: Op) -> bool:
     """True when *op* always yields a singleton boolean, so taking its
-    effective boolean value cannot raise."""
+    effective boolean value cannot raise and, as a predicate, it never
+    switches to position-filter semantics."""
     if isinstance(op, (ComparisonOp, LogicalOp, NotOp)):
         return True
+    if isinstance(op, FunctionCallOp):
+        return op.name.removeprefix("fn:") in _BOOLEAN_FUNCTIONS
     return isinstance(op, LiteralOp) and isinstance(op.value, bool)
 
 
@@ -2252,6 +2332,57 @@ def _selectivity(op: Op, binding: str, context_tag: str | None,
         inner = _selectivity(op.operand, binding, context_tag, docstats)
         return max(_cost.EQUALITY_FLOOR, 1.0 - inner)
     return _cost.DEFAULT_SELECTIVITY
+
+
+def _fusable(op: Op, variable: str) -> bool:
+    """May WHERE conjunct *op* become a predicate on ``$variable``'s path?
+
+    It must be boolean-shaped and focus-free: no ``.``, ``position()``
+    or ``last()`` of its own, and no FLWOR or quantifier that could
+    shadow the variable.  ``$variable`` must also not occur inside a
+    nested step predicate, where ``.`` means that step's item and the
+    substitution would read the wrong node.
+    """
+    if not _boolean_shaped(op):
+        return False
+    stack = [(op, False)]
+    while stack:
+        node, nested = stack.pop()
+        if isinstance(node, (ContextItemOp, FLWOROp, QuantifiedOp)):
+            return False
+        if isinstance(node, FunctionCallOp) \
+                and node.name.removeprefix("fn:") in _FOCUS_FUNCTIONS:
+            return False
+        if nested and isinstance(node, VarRefOp) and node.name == variable:
+            return False
+        if isinstance(node, (PathOp, IndexedPathOp)):
+            if isinstance(node, PathOp):
+                stack.append((node.base, nested))
+            stack.extend((predicate, True) for step in node.steps
+                         for predicate, _pushed in step.predicates)
+        else:
+            stack.extend((child, nested) for child in _children(node))
+    return True
+
+
+def _focus_on(op: Op, variable: str) -> Op:
+    """Rewrite ``$variable`` under *op* to ``.``, in place.
+
+    Operator slots are followed, step predicates (held by
+    :class:`StepPlan`, not an operator) are not — :func:`_fusable` has
+    already ruled out the variable there.
+    """
+    if isinstance(op, VarRefOp) and op.name == variable:
+        return ContextItemOp()
+    for slot in op.__slots__:
+        value = getattr(op, slot)
+        if isinstance(value, Op):
+            setattr(op, slot, _focus_on(value, variable))
+        elif isinstance(value, tuple) and value \
+                and isinstance(value[0], Op):
+            setattr(op, slot, tuple(_focus_on(item, variable)
+                                    for item in value))
+    return op
 
 
 def _split_conjuncts_op(op: Op) -> list[Op]:
@@ -2574,9 +2705,8 @@ def compile_query(source: str,
     parse_ns = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
-    folded, folds = fold_constants(ast_root)
     lowerer = _Lowerer(registry, index_paths=not perturb)
-    root = lowerer.lower(folded)
+    root = lowerer.lower(ast_root)
     cost_info = None
     decisions = None
     statistics_fingerprint = None
@@ -2589,9 +2719,9 @@ def compile_query(source: str,
         statistics_fingerprint = statistics.fingerprint
         joinless = not join_search
     compile_ns = time.perf_counter_ns() - started
-    return Plan(source, folded, root, registry, parse_ns, compile_ns,
+    return Plan(source, ast_root, root, registry, parse_ns, compile_ns,
                 rewrites={
-                    "constant-fold": folds,
+                    "constant-fold": lowerer.folds,
                     "where-to-predicate": lowerer.where_fused,
                     "index-paths": lowerer.indexed_paths,
                 },

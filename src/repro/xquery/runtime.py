@@ -108,10 +108,3 @@ def singleton(seq: Seq, what: str) -> Item:
 def one_string(seq: Seq, what: str) -> str:
     """Require exactly one item and return its string value."""
     return string_value(singleton(seq, what))
-
-
-def optional_string(seq: Seq, what: str) -> str | None:
-    """Zero-or-one items; string value or None."""
-    if not seq:
-        return None
-    return one_string(seq, what)

@@ -131,9 +131,6 @@ class DocumentStats:
             return max(observed, min(max(1, count), scaled))
         return max(1, observed)
 
-    def attr_samples(self, tag: str, attr: str) -> tuple[str, ...]:
-        return self.attr_values.get((tag, attr), ())
-
     def scaled(self, factor: int) -> "DocumentStats":
         """A copy whose row estimates come out ~``factor`` too large.
 

@@ -91,6 +91,77 @@ class TestRewrites:
         assert plan.rewrites["index-paths"] == 0
 
 
+_CMU = "for $b in doc('cmu.xml')/cmu/Course "
+_TWO_FORS = ("for $a in doc('cmu.xml')/cmu/Course, "
+             "$b in doc('brown.xml')/brown/Course ")
+
+
+class TestFoldAndFuseCounts:
+    """Folding and fusion counts (and the shapes folding feeds) pinned
+    per query; none of the twelve explain goldens folds anything."""
+
+    @pytest.mark.parametrize("source, folds, fused, explained", [
+        (_CMU + "where $b/Title = (if (1 = 1) then '%Data%' else 'x') "
+         "return $b/CourseNum", 2, 1, "[like '%Data%']"),
+        ("for $b in doc(if (1 = 1) then 'cmu.xml' else 'x')/cmu/Course "
+         "where $b/Day = 'F' return $b/CourseNum", 2, 1,
+         'index-path doc "cmu.xml"'),
+        (_CMU + "where 1 = 2 and $b/Day = 'F' return $b/CourseNum",
+         2, 1, None),
+        (_CMU + "where 1 = 1 and $b/Day = 'F' return $b/CourseNum",
+         1, 2, None),
+        (_CMU + "where $b/Day[. = 'F'] = 'F' return $b/CourseNum",
+         0, 0, None),
+        (_CMU + "where contains($b/Title, 'Data') return $b/CourseNum",
+         0, 1, None),
+        (_CMU + "where position() = 1 return $b/CourseNum", 0, 0, None),
+        (_TWO_FORS + "where $b/Day = 'F' return $b/CourseNum", 0, 1, None),
+        (_TWO_FORS + "where $a/Day = $b/Day return $b/CourseNum",
+         0, 0, None),
+    ], ids=["folded-like", "folded-doc", "false-and", "true-and",
+            "dot-in-predicate", "boolean-builtin", "position",
+            "inner-for-only", "cross-for"])
+    def test_counts(self, source, folds, fused, explained):
+        plan = compile_query(source)
+        assert plan.rewrites["constant-fold"] == folds
+        assert plan.rewrites["where-to-predicate"] == fused
+        if explained is not None:
+            assert explained in plan.explain()
+        if "doc(if" in source:
+            assert plan.rewrites["index-paths"] == 1
+
+
+class TestFusionAcrossNestedPredicates:
+    """In a nested step predicate ``.`` is that step's item, so a WHERE
+    conjunct with the loop variable inside one must stay in WHERE."""
+
+    @pytest.fixture(scope="class")
+    def statistics(self, paper_testbed):
+        from repro.xquery.stats import collect_statistics
+        return collect_statistics(paper_testbed.documents)
+
+    @pytest.mark.parametrize("source", [
+        _CMU + "where exists(doc('brown.xml')/brown/Course"
+               "[$b/Day = 'F']) return $b/CourseNum",
+        _CMU + "where $b/Lecturer[$b/Day = 'F'] != '' "
+               "return $b/CourseNum",
+    ], ids=["other-document", "own-path"])
+    def test_engines_agree_on_testbed(self, source, paper_testbed,
+                                      statistics):
+        result = outcomes(source, paper_testbed.documents, statistics)
+        assert result["interpreter"] != ()
+        assert len(set(result.values())) == 1, result
+
+    def test_engines_agree_on_small_document(self):
+        docs = {"d": XmlDocument(element(
+            "r", element("c", element("v", "x"), element("w", "5")),
+            element("c", element("v", "y"), element("w", "2"))))}
+        result = outcomes("for $i in doc('d')/r/c "
+                          "where $i/w[$i/v = 'x'] = '5' return $i/w", docs)
+        assert result["interpreter"] == ("<w>5</w>",)
+        assert len(set(result.values())) == 1, result
+
+
 class TestEquivalenceCorners:
     """Shapes where a sloppy planner would diverge from the evaluator."""
 

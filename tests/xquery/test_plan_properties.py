@@ -54,6 +54,14 @@ def _conditions(draw):
     op = draw(_cmp_ops)
     right = draw(st.one_of(_strings, _numbers))
     condition = f"{left} {op} {right}"
+    # $i inside a nested predicate, where '.' is the inner item: WHERE
+    # fusion must leave such a conjunct alone.
+    nested = f"$i/v = {draw(_strings)}"
+    condition = draw(st.sampled_from([
+        condition, condition, condition,
+        f"exists(doc('d')/r/c[{nested}])",
+        f"$i/w[{nested}] {op} {right}",
+    ]))
     if draw(st.booleans()):
         other = f"$i/v = {draw(_strings)}"
         joiner = draw(st.sampled_from(["and", "or"]))
