@@ -1,13 +1,11 @@
-"""Build pipeline flavors — serial cold vs parallel cold vs cache-warm.
+"""Build pipeline flavors — cold vs cache-warm.
 
-Times the three ways :func:`repro.catalogs.build_testbed` can produce the
-full 25-source testbed: a serial cold build (the baseline every other
-bench pays), a thread-pool build (``workers=4``; the win scales with
-available cores — on a single-core runner it only measures pool
-overhead), and a cache-warm build that replays artifacts from the
+Times the two ways :func:`repro.catalogs.build_testbed` can produce the
+full 25-source testbed: a cold build (the baseline every other bench
+pays) and a cache-warm build that replays artifacts from the
 content-addressed :class:`~repro.catalogs.ArtifactCache`.  The golden
-suite asserts all three are byte-identical; this bench asserts the cache
-is actually a shortcut: a warm build must beat a cold one.
+suite asserts both are byte-identical; this bench asserts the cache is
+actually a shortcut: a warm build must beat a cold one.
 """
 
 import shutil
@@ -32,8 +30,6 @@ def test_pipeline_flavors():
     cache_dir = tempfile.mkdtemp(prefix="thalia-bench-cache-")
     try:
         serial_s, serial = _best_of(ROUNDS, lambda: build_testbed())
-        parallel_s, parallel = _best_of(
-            ROUNDS, lambda: build_testbed(workers=4))
 
         cold_s, cold = _best_of(1, lambda: build_testbed(cache_dir=cache_dir))
         warm_s, warm = _best_of(
@@ -41,7 +37,6 @@ def test_pipeline_flavors():
 
         rows = [
             ("serial cold", serial_s, serial),
-            ("parallel cold (workers=4)", parallel_s, parallel),
             ("cache cold (populating)", cold_s, cold),
             ("cache warm", warm_s, warm),
         ]
@@ -53,7 +48,7 @@ def test_pipeline_flavors():
         print(f"  warm/cold speedup: {serial_s / warm_s:.2f}x "
               f"(best of {ROUNDS})")
 
-        assert len(serial) == len(parallel) == len(warm) == 25
+        assert len(serial) == len(warm) == 25
         assert cold.build_report.cache_misses == 25
         assert warm.build_report.cache_hits == 25
         # The cache must be a shortcut, not a detour.

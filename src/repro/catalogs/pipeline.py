@@ -1,12 +1,12 @@
-"""Parallel, content-addressed testbed build pipeline.
+"""Content-addressed testbed build pipeline.
 
 The pipeline is deterministic in ``(seed, profile)``: rendering, scraping
-and schema inference involve no ambient state, so source builds can run
-concurrently and their artifacts can be cached on disk and reused across
-processes. This module provides the three pieces:
+and schema inference involve no ambient state, so source artifacts can
+be cached on disk and reused across processes. This module provides the
+three pieces:
 
 * :func:`build_testbed` — the public entry point: builds the testbed's
-  sources on a thread pool (``workers=N``), consulting an on-disk
+  sources one after another, consulting an on-disk
   :class:`ArtifactCache` when one is configured, and attaches a
   :class:`BuildReport` (per-stage wall time, cache hits/misses) to the
   returned :class:`~repro.catalogs.testbed.Testbed`.
@@ -20,9 +20,8 @@ processes. This module provides the three pieces:
   call sites like ``run_benchmark``/``run_all`` and the CLI share one
   build per seed instead of rebuilding the 25 sources per call.
 
-Worker safety: each worker thread owns a private
-:class:`~repro.tess.TessScraper` (the engine records per-run stats on the
-instance, so sharing one across threads would race).
+The build is serial on purpose: every stage is pure-Python CPU work, so
+under the GIL a thread pool only adds scheduling overhead.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import hashlib
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,7 +151,6 @@ class BuildReport:
     """What one :func:`build_testbed` call did, and how long it took."""
 
     seed: int
-    workers: int
     cache_root: str | None = None
     wall_s: float = 0.0
     scale: int = 1
@@ -186,7 +183,7 @@ class BuildReport:
     def render(self) -> str:
         """Human-readable per-source table plus totals."""
         lines = [
-            f"testbed build: seed={self.seed} workers={self.workers} "
+            f"testbed build: seed={self.seed} "
             f"cache={self.cache_root or 'off'}",
             f"{'source':<12} {'cache':<6} {'render':>8} {'scrape':>8} "
             f"{'infer':>8} {'load':>8} {'total':>8}",
@@ -354,11 +351,11 @@ def _build_fresh(profile: UniversityProfile, seed: int,
 
 
 def _build_one(profile: UniversityProfile, seed: int,
-               cache: ArtifactCache | None, use_cache: bool,
+               cache: ArtifactCache | None, scraper: TessScraper,
                scale: int = 1) -> tuple[SourceBundle, SourceBuildRecord]:
-    """Build one source, via the cache when possible; worker-thread body."""
+    """Build one source, via the cache when one is given."""
     record = SourceBuildRecord(slug=profile.slug, cache_hit=False)
-    if cache is not None and use_cache:
+    if cache is not None:
         start = time.perf_counter()
         cached = cache.load(profile, seed, scale)
         if cached is not None:
@@ -366,8 +363,8 @@ def _build_one(profile: UniversityProfile, seed: int,
             record.cache_hit = True
             record.load_s = time.perf_counter() - start
             return bundle, record
-    bundle = _build_fresh(profile, seed, TessScraper(), record, scale)
-    if cache is not None and use_cache:
+    bundle = _build_fresh(profile, seed, scraper, record, scale)
+    if cache is not None:
         _, record.document_sha256 = cache.store(bundle, seed, scale)
     return bundle, record
 
@@ -376,24 +373,18 @@ def build_testbed(seed: int = DEFAULT_SEED,
                   universities: list[UniversityProfile] | None = None,
                   scraper: TessScraper | None = None,
                   *,
-                  workers: int = 1,
                   cache_dir: str | Path | None = None,
-                  use_cache: bool = True,
                   scale: int = 1) -> Testbed:
     """Build the full testbed (all 25 sources unless a subset is given).
 
     Args:
         seed: generation seed; the build is deterministic in it.
         universities: subset of profiles to build (default: all 25).
-        scraper: explicit extraction engine.  Passing one forces a serial,
+        scraper: explicit extraction engine.  Passing one forces an
             uncached build — the engine's behavior (e.g. the no-nesting
-            ablation flavor) is not part of the cache key, and the engine
-            instance is stateful so it cannot be shared across workers.
-        workers: worker threads building sources concurrently (1 = serial).
+            ablation flavor) is not part of the cache key.
         cache_dir: root of an :class:`ArtifactCache`; ``None`` disables
             on-disk caching entirely.
-        use_cache: when ``False``, neither read nor write the cache even
-            if ``cache_dir`` is set (the CLI's ``--no-cache``).
         scale: catalog multiplier for scale-tier testbeds; ``scale=1``
             is byte-identical to a build from before this parameter
             existed (same filler stream, same cache addresses).
@@ -403,40 +394,15 @@ def build_testbed(seed: int = DEFAULT_SEED,
     """
     wall_start = time.perf_counter()
     profiles = universities if universities is not None else all_universities()
-
-    if scraper is not None:
-        report = BuildReport(seed=seed, workers=1, cache_root=None,
-                             scale=scale)
-        bundles = []
-        for profile in profiles:
-            record = SourceBuildRecord(slug=profile.slug, cache_hit=False)
-            bundles.append(_build_fresh(profile, seed, scraper, record,
-                                        scale))
-            report.records.append(record)
-        report.wall_s = time.perf_counter() - wall_start
-        testbed = Testbed(bundles, seed, scale=scale)
-        testbed.build_report = report
-        return testbed
-
-    cache = ArtifactCache(cache_dir) if cache_dir is not None else None
-    workers = max(1, int(workers))
+    cache = ArtifactCache(cache_dir) \
+        if cache_dir is not None and scraper is None else None
+    engine = scraper if scraper is not None else TessScraper()
     report = BuildReport(
-        seed=seed, workers=workers,
-        cache_root=str(cache.root) if cache is not None else None,
+        seed=seed, cache_root=str(cache.root) if cache is not None else None,
         scale=scale)
-
-    if workers == 1 or len(profiles) <= 1:
-        results = [_build_one(profile, seed, cache, use_cache, scale)
-                   for profile in profiles]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda profile: _build_one(profile, seed, cache, use_cache,
-                                           scale),
-                profiles))
-
     bundles = []
-    for bundle, record in results:
+    for profile in profiles:
+        bundle, record = _build_one(profile, seed, cache, engine, scale)
         bundles.append(bundle)
         report.records.append(record)
     report.wall_s = time.perf_counter() - wall_start
@@ -456,9 +422,9 @@ _shared_testbeds: dict[tuple[int, int], Testbed] = {}
 _shared_lock = threading.Lock()
 
 
-def shared_testbed(seed: int = DEFAULT_SEED, *, workers: int = 1,
+def shared_testbed(seed: int = DEFAULT_SEED, *,
                    cache_dir: str | Path | None = None,
-                   use_cache: bool = True, scale: int = 1) -> Testbed:
+                   scale: int = 1) -> Testbed:
     """The process-wide full default build for ``(seed, scale)``, built at
     most once.
 
@@ -471,9 +437,8 @@ def shared_testbed(seed: int = DEFAULT_SEED, *, workers: int = 1,
     with _shared_lock:
         testbed = _shared_testbeds.get((seed, scale))
         if testbed is None:
-            testbed = build_testbed(seed=seed, workers=workers,
-                                    cache_dir=cache_dir,
-                                    use_cache=use_cache, scale=scale)
+            testbed = build_testbed(seed=seed, cache_dir=cache_dir,
+                                    scale=scale)
             _shared_testbeds[(seed, scale)] = testbed
     return testbed
 

@@ -28,6 +28,7 @@ from ..xmlmodel import (
     serialize_digest,
     serialize_pretty,
 )
+from ..xquery.context import DocumentResolver
 from .model import CanonicalCourse
 from .universities import UniversityProfile
 
@@ -71,6 +72,7 @@ class Testbed:
         self._fingerprint_lock = threading.Lock()
         self._document_hashes: dict[str, str] = {}
         self._content_fingerprints: dict[tuple[str, ...] | None, str] = {}
+        self._resolver: DocumentResolver | None = None
 
     # -- access ---------------------------------------------------------- #
 
@@ -99,6 +101,17 @@ class Testbed:
         return {slug: bundle.document
                 for slug, bundle in self._sources.items()}
 
+    def document_resolver(self) -> DocumentResolver:
+        """One ``doc()`` resolver over all of :attr:`documents`, built on
+        first use and shared by every plan execution against this
+        testbed (:attr:`documents` is a fresh dict per call, so it
+        cannot serve as a cache key).  Copies drop it (see
+        :meth:`__getstate__`)."""
+        with self._fingerprint_lock:
+            if self._resolver is None:
+                self._resolver = DocumentResolver(self.documents)
+            return self._resolver
+
     def courses(self, slug: str) -> list[CanonicalCourse]:
         """Canonical ground-truth courses of one source."""
         return self.source(slug).courses
@@ -106,16 +119,19 @@ class Testbed:
     # -- content identity -------------------------------------------------- #
 
     def __getstate__(self) -> dict:
-        """Copy/pickle support: drop the lock *and the fingerprint memos*.
+        """Copy/pickle support: drop the lock, the fingerprint memos *and
+        the document resolver*.
 
         A copied testbed is usually copied in order to be mutated (tests
         corrupt documents to prove the self-check catches it), so the
-        copy must re-derive its content identity from its own documents.
+        copy must re-derive its content identity and its ``doc()``
+        targets from its own documents.
         """
         state = self.__dict__.copy()
         del state["_fingerprint_lock"]
         state["_document_hashes"] = {}
         state["_content_fingerprints"] = {}
+        state["_resolver"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -12,8 +12,6 @@ Commands:
   per-source bundle (snapshot/wrapper/XML/XSD) under DIR.
 * ``run-benchmark`` / ``run`` — score Cohera, IWIZ and the THALIA
   mediator; print the §4.2-style tables and the scoreboard.
-  ``--workers N`` runs the (system, query) grid on N threads — the
-  score cards are byte-identical to a serial run.
 * ``query N`` — describe benchmark query N and run its reference XQuery
   against the testbed.
 * ``build-site DIR`` — generate the THALIA web site (Fig. 4) under DIR.
@@ -39,11 +37,10 @@ Commands:
   regressions (the CI ``perf-gate``'s engine).
 
 Global build options (before the command): ``--seed N``, ``--scale N``
-(catalog multiplier; answers unchanged), ``--workers N`` (parallel
-source builds), ``--cache-dir DIR`` (on-disk artifact cache)
-and ``--no-cache`` (bypass cache reads *and* writes).  Every command
-builds the testbed at most once per invocation; repeated implicit builds
-share one in-process instance.
+(catalog multiplier; answers unchanged) and ``--cache-dir DIR`` (on-disk
+artifact cache; without it the build reads and writes nothing).  Every
+command builds the testbed at most once per invocation; repeated
+implicit builds share one in-process instance.
 """
 
 from __future__ import annotations
@@ -78,14 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="catalog multiplier for scale-tier testbeds "
                              "(default 1; filler courses are multiplied, "
                              "benchmark answers are unchanged)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker threads for testbed builds (default 1)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="on-disk artifact cache root (default: no "
                              "cache)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the artifact cache (no reads, no "
-                             "writes) even when --cache-dir is set")
     commands = parser.add_subparsers(dest="command", required=True)
 
     testbed = commands.add_parser(
@@ -121,11 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="score Cohera, IWIZ and the THALIA mediator")
     run.add_argument("--save-scores", metavar="FILE", default=None,
                      help="persist the honor roll as JSON")
-    run.add_argument("--workers", dest="run_workers", type=int, default=4,
-                     metavar="N",
-                     help="threads running (system, query) pairs "
-                          "(default 4; 1 = serial, same score cards "
-                          "either way)")
 
     # ``run`` is the short spelling of ``run-benchmark``; both accept the
     # same options and dispatch to the same handler.
@@ -133,11 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="alias of run-benchmark")
     run_alias.add_argument("--save-scores", metavar="FILE", default=None,
                            help="persist the honor roll as JSON")
-    run_alias.add_argument("--workers", dest="run_workers", type=int,
-                           default=4, metavar="N",
-                           help="threads running (system, query) pairs "
-                                "(default 4; 1 = serial, same score "
-                                "cards either way)")
 
     query = commands.add_parser(
         "query", help="describe and run one benchmark query")
@@ -173,8 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "directory)")
     serve.add_argument("--http-threads", type=int, default=8, metavar="N",
                        help="worker threads answering requests "
-                            "(default 8); --workers keeps meaning build "
-                            "parallelism")
+                            "(default 8)")
     serve.add_argument("--query-workers", type=int, default=4, metavar="K",
                        help="threads executing /api/query/batch items "
                             "(default 4)")
@@ -293,11 +274,9 @@ def _make_testbed(args: argparse.Namespace, universities=None):
     """Build (or fetch the shared) testbed per the global build options."""
     if universities is not None:
         return build_testbed(seed=args.seed, universities=universities,
-                             workers=args.workers, cache_dir=args.cache_dir,
-                             use_cache=not args.no_cache, scale=args.scale)
-    return shared_testbed(args.seed, workers=args.workers,
-                          cache_dir=args.cache_dir,
-                          use_cache=not args.no_cache, scale=args.scale)
+                             cache_dir=args.cache_dir, scale=args.scale)
+    return shared_testbed(args.seed, cache_dir=args.cache_dir,
+                          scale=args.scale)
 
 
 def _cmd_testbed(args: argparse.Namespace) -> int:
@@ -319,8 +298,7 @@ def _cmd_build_testbed(args: argparse.Namespace) -> int:
 
 def _cmd_run_benchmark(args: argparse.Namespace) -> int:
     testbed = _make_testbed(args)
-    cards = run_all([cohera(), iwiz(), thalia_mediator()], testbed,
-                    workers=max(1, args.run_workers))
+    cards = run_all([cohera(), iwiz(), thalia_mediator()], testbed)
     for card in cards:
         print(render_system_table(card))
         print()
@@ -353,7 +331,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.explain and not args.explain_analyze:
         print(plan.explain())
         print()
-    results = plan.execute(testbed.documents,
+    results = plan.execute(testbed.document_resolver(),
                            analyze=args.explain_analyze)
     if args.explain_analyze:
         # Analyzed rendering needs the actuals the execution above just
@@ -398,7 +376,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .server import DEFAULT_SCORES_FILE, HonorRollStore, ThaliaApp, \
         ThaliaServer, WorkerFleet
 
-    testbed = _make_testbed(args)   # global --workers/--cache-dir/--no-cache
+    testbed = _make_testbed(args)   # global --seed/--scale/--cache-dir
     store = HonorRollStore(args.scores or DEFAULT_SCORES_FILE)
     fleet = None
     if args.fleet > 0:
@@ -504,8 +482,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if not args.skip_validate:
         problems = suite.check_query_agreement(testbed)
         problems.extend(suite.check_system_agreement(
-            [thalia_mediator(), cohera(), iwiz()], testbed,
-            workers=max(1, args.workers)))
+            [thalia_mediator(), cohera(), iwiz()], testbed))
         if problems:
             for problem in problems:
                 print(f"[gen] PROBLEM: {problem}", file=sys.stderr)

@@ -1,24 +1,17 @@
 """Benchmark runner: systems × queries → score cards.
 
-Since PR 4 the harness executes in two layers:
-
-* **result reuse** — gold answers go through the shared
-  :class:`~repro.xquery.results.ResultCache` (computed once per query per
-  testbed content fingerprint, shared by every system in the run), and
-  :class:`~repro.systems.base.CapabilityModelSystem` caches per-source
-  integrations the same way;
-* **parallel fan-out** — ``workers > 1`` spreads the (system, query)
-  pairs over a ``ThreadPoolExecutor``.
-
-Outcomes are reassembled by (system position, query number), never by
-completion order, so a parallel run's score cards are byte-identical to
-the serial run's, and to a run with no result reuse at all —
-``tests/core/test_runner_parallel.py`` holds us to that.
+Gold answers go through the shared
+:class:`~repro.xquery.results.ResultCache` (computed once per query per
+testbed content fingerprint, shared by every system in the run), and
+:class:`~repro.systems.base.CapabilityModelSystem` caches per-source
+integrations the same way.  The (system, query) grid runs serially: it
+is pure-Python CPU work, which a thread pool cannot overlap under the
+GIL.  Score cards are byte-identical to a run with no result reuse at
+all — ``tests/core/test_runner_parallel.py`` holds us to that.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Iterable
 
 from ..catalogs import Testbed, shared_testbed
@@ -60,63 +53,45 @@ def _warm_plans(queries: list[BenchmarkQuery]) -> None:
 
 
 def _run_cards(systems: list["IntegrationSystem"], bed: Testbed,
-               chosen: list[BenchmarkQuery], workers: int) -> list[ScoreCard]:
-    """Score *systems* over *chosen* queries, deterministically.
+               chosen: list[BenchmarkQuery]) -> list[ScoreCard]:
+    """Score *systems* over *chosen* queries.
 
     Gold answers are resolved through the shared result cache first —
-    one computation per query, shared by every system and every worker —
-    then the (system, query) grid fans out.  Each cell is independent
-    (systems share nothing but caches, which are thread-safe), and the
-    grid is reassembled positionally, so worker count and completion
-    order can never reorder an outcome.
+    one computation per query, shared by every system.
     """
     _warm_plans(chosen)
     golds = {query.number: cached_gold_answer(query, bed)
              for query in chosen}
-    cards = [ScoreCard(system=system.name) for system in systems]
-    cells = [(index, query) for index in range(len(systems))
-             for query in chosen]
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda cell: run_query(systems[cell[0]], cell[1], bed,
-                                       gold=golds[cell[1].number]),
-                cells))
-    else:
-        outcomes = [run_query(systems[index], query, bed,
-                              gold=golds[query.number])
-                    for index, query in cells]
-    for (index, _query), outcome in zip(cells, outcomes):
-        cards[index].outcomes.append(outcome)
-    return cards
+    return [ScoreCard(system=system.name,
+                      outcomes=[run_query(system, query, bed,
+                                          gold=golds[query.number])
+                                for query in chosen])
+            for system in systems]
 
 
 def run_benchmark(system: "IntegrationSystem",
                   testbed: Testbed | None = None,
-                  queries: Iterable[BenchmarkQuery] | None = None,
-                  workers: int = 1) -> ScoreCard:
+                  queries: Iterable[BenchmarkQuery] | None = None
+                  ) -> ScoreCard:
     """Run a system through the (full, by default) benchmark.
 
     When no testbed is passed, the process-wide shared build is used, so
     consecutive ``run_benchmark`` calls (and :func:`run_all`) pay for at
-    most one testbed build per process.  ``workers > 1`` runs the queries
-    concurrently; the outcome order is identical either way.
+    most one testbed build per process.
     """
     bed = testbed if testbed is not None else shared_testbed()
     chosen = list(queries) if queries is not None else list(QUERIES)
-    return _run_cards([system], bed, chosen, workers)[0]
+    return _run_cards([system], bed, chosen)[0]
 
 
 def run_all(systems: Iterable["IntegrationSystem"],
-            testbed: Testbed | None = None,
-            workers: int = 1) -> list[ScoreCard]:
+            testbed: Testbed | None = None) -> list[ScoreCard]:
     """Run several systems over one shared testbed build.
 
     Plan-cache warmup happens once for the whole run (not once per
-    system), gold answers are computed once per query and shared across
-    systems, and ``workers > 1`` fans every (system, query) pair over a
-    thread pool.  Score cards come back in input-system order with
-    outcomes in query order — byte-identical to ``workers=1``.
+    system) and gold answers are computed once per query and shared
+    across systems.  Score cards come back in input-system order with
+    outcomes in query order.
     """
     bed = testbed if testbed is not None else shared_testbed()
-    return _run_cards(list(systems), bed, list(QUERIES), workers)
+    return _run_cards(list(systems), bed, list(QUERIES))

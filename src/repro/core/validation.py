@@ -108,7 +108,7 @@ def validate_benchmark(testbed: Testbed) -> ValidationResult:
     # the server's startup probe) compile each benchmark query once, and
     # the shared result cache means they *execute* each one at most once
     # per testbed content fingerprint.
-    documents = testbed.documents
+    documents = testbed.document_resolver()
     content_fp = testbed.content_fingerprint()
     plans = shared_plan_cache()
     results = shared_result_cache()

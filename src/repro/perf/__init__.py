@@ -30,7 +30,6 @@ from .report import (
     render_report,
 )
 from .schema import (
-    KIND_BENCH,
     KIND_REPORT,
     KIND_SNAPSHOT,
     SCHEMA_NAME,
@@ -46,7 +45,6 @@ from .schema import (
 __all__ = [
     "DEFAULT_MIN_DELTA_NS",
     "DEFAULT_THRESHOLD",
-    "KIND_BENCH",
     "KIND_REPORT",
     "KIND_SNAPSHOT",
     "SCHEMA_NAME",

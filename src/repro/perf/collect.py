@@ -48,6 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..catalogs import build_testbed, paper_universities
 from ..core import QUERIES
+from ..xquery.context import DocumentResolver
 from ..xquery.differential import render
 from ..xquery.plan import Plan, compile_query
 from ..xquery.plan_cache import PlanCache
@@ -272,6 +273,9 @@ def _collect_cell(documents, content_fp: str, scale: int, workers: int,
     # indexes; zero them so this cell's numbers describe this cell only.
     for document in documents.values():
         document.index().reset_counters()
+    # Every execution in the cell resolves doc() through this one
+    # resolver, so no timed sample pays for building it.
+    resolver = DocumentResolver(documents)
     pool = ThreadPoolExecutor(max_workers=workers,
                               thread_name_prefix="thalia-perf") \
         if workers > 1 else None
@@ -285,7 +289,7 @@ def _collect_cell(documents, content_fp: str, scale: int, workers: int,
             # so nothing else can pick it up.
             plan = plan_cache.get(source, statistics=statistics)
             plan_cache.get(source, statistics=statistics)
-            reference_items = render(plan.execute(documents))
+            reference_items = render(plan.execute(resolver))
             if query_label in perturbed:
                 plan = compile_query(source, perturb=True)
             elif query_label in estimate_perturbed and statistics is not None:
@@ -298,7 +302,7 @@ def _collect_cell(documents, content_fp: str, scale: int, workers: int,
             # agree item for item before any timing is recorded.
             cached_items = result_cache.get_or_compute(
                 plan.identity, content_fp,
-                lambda: render(plan.execute(documents)))
+                lambda: render(plan.execute(resolver)))
             result_cache.get_or_compute(plan.identity, content_fp,
                                         lambda: ())
             if cached_items != reference_items:
@@ -310,11 +314,11 @@ def _collect_cell(documents, content_fp: str, scale: int, workers: int,
             # EXPLAIN ANALYZE counters; it runs before the GC pause so
             # its (instrumented, slower) timings never mix with the
             # measured batches.
-            plan.execute(documents, analyze=True)
+            plan.execute(resolver, analyze=True)
             operators = _operator_rows(plan)
 
             for _ in range(warmup):
-                _run_batch(plan, documents, workers, pool)
+                _run_batch(plan, resolver, workers, pool)
             wall_samples: list[int] = []
             cpu_samples: list[int] = []
             # Collector pauses (not disables) the cyclic GC around the
@@ -327,7 +331,7 @@ def _collect_cell(documents, content_fp: str, scale: int, workers: int,
                 gc.disable()
             try:
                 for _ in range(repeats):
-                    walls, cpu_ns = _run_batch(plan, documents, workers,
+                    walls, cpu_ns = _run_batch(plan, resolver, workers,
                                                pool)
                     wall_samples.extend(walls)
                     cpu_samples.append(cpu_ns // max(1, len(walls)))

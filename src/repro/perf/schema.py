@@ -5,15 +5,11 @@ three-field header::
 
     {"schema": "thalia-perf", "schema_version": 1, "kind": "...", ...}
 
-Three kinds exist:
+Two kinds exist:
 
 * ``snapshot`` — what ``thalia perf collect`` writes: per
   (query × scale × workers) plan explains, fingerprints, timing
   statistics and cache counters.  Fully validated field by field.
-* ``bench`` — a stamped benchmark report (the ``BENCH_*.json``
-  trajectory files at the repo root).  The payload keeps each bench
-  script's native shape; the envelope makes the family discoverable
-  and versioned.
 * ``report`` — what ``thalia perf report`` emits.
 
 A document without the header fails validation.
@@ -28,10 +24,9 @@ SCHEMA_NAME = "thalia-perf"
 SCHEMA_VERSION = 1
 
 KIND_SNAPSHOT = "snapshot"
-KIND_BENCH = "bench"
 KIND_REPORT = "report"
 
-_KINDS = (KIND_SNAPSHOT, KIND_BENCH, KIND_REPORT)
+_KINDS = (KIND_SNAPSHOT, KIND_REPORT)
 
 #: Statistics every timing block must provide, in canonical order.
 STAT_KEYS = ("min", "median", "p95", "mean")
@@ -97,9 +92,9 @@ def load_document(path: str | Path, expect_kind: str | None = None) -> dict:
 def validate_document(doc: object) -> list[str]:
     """Problems with *doc*; empty means valid.
 
-    Bench payloads keep their script-native shape, so only the envelope
-    and the name are checked; snapshots are validated structurally all
-    the way down — they are the format the CI gate trusts.
+    Snapshots are validated structurally all the way down — they are
+    the format the CI gate trusts; reports need their summaries, lists
+    and verdict.
     """
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -121,9 +116,6 @@ def validate_document(doc: object) -> list[str]:
         return problems
     if kind == KIND_SNAPSHOT:
         problems.extend(_validate_snapshot(doc))
-    elif kind == KIND_BENCH:
-        if not isinstance(doc.get("bench"), str) or not doc["bench"]:
-            problems.append("bench: missing or empty bench name")
     else:
         problems.extend(_validate_report(doc))
     return problems
@@ -309,7 +301,6 @@ def summarize_snapshot(doc: dict, path: str | Path | None = None) -> dict:
 
 
 __all__ = [
-    "KIND_BENCH",
     "KIND_REPORT",
     "KIND_SNAPSHOT",
     "SCHEMA_NAME",

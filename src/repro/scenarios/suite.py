@@ -208,10 +208,9 @@ class ScenarioSuite:
                                             scraper=scraper, scale=scale))
         return Testbed(bundles, seed=self.seed, scale=scale)
 
-    def run(self, system: "IntegrationSystem", testbed: Testbed,
-            workers: int = 1) -> ScoreCard:
-        return run_benchmark(system, testbed, queries=self.queries,
-                             workers=workers)
+    def run(self, system: "IntegrationSystem",
+            testbed: Testbed) -> ScoreCard:
+        return run_benchmark(system, testbed, queries=self.queries)
 
     # -- self-checks ------------------------------------------------------- #
 
@@ -241,7 +240,7 @@ class ScenarioSuite:
 
     def check_system_agreement(
             self, systems: "Iterable[IntegrationSystem]",
-            testbed: Testbed, workers: int = 1) -> list[str]:
+            testbed: Testbed) -> list[str]:
         """Score *systems*; flag any supported ⇎ correct disagreement.
 
         A generated scenario is only honest if the capability model
@@ -255,7 +254,7 @@ class ScenarioSuite:
         problems: list[str] = []
         allowed = self.numbers
         for system in systems:
-            card = self.run(system, testbed, workers=workers)
+            card = self.run(system, testbed)
             for query in self.queries:
                 outcome = card.outcome(query.number)
                 if outcome.supported != outcome.correct:

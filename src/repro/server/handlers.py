@@ -56,7 +56,7 @@ from ..website.bundles import (
     build_solutions_bundle,
 )
 from ..xmlmodel import XmlElement, serialize, serialize_pretty
-from ..xquery import XQueryError, XQuerySyntaxError
+from ..xquery import DocumentResolver, XQueryError, XQuerySyntaxError
 from .fleet import FleetClosed, FleetSaturated
 from .router import Request, Response, Router
 
@@ -310,26 +310,15 @@ def build_router() -> Router:
         if not isinstance(analyze, bool):
             return Response.of_json(
                 {"error": "'analyze' must be a boolean"}, status=400)
-        slug = payload.get("source")
-        if slug is not None:
-            if slug not in app.testbed:
-                return Response.of_json(
-                    {"error": f"no such source: {slug}"}, status=404)
-            documents = {slug: app.testbed.source(slug).document}
-            content_fp = app.testbed.content_fingerprint([slug])
-        else:
-            documents = app.testbed.documents
-            content_fp = app.testbed.content_fingerprint()
+        scope = _scope(app, payload.get("source"))
+        if isinstance(scope, dict):
+            return Response.of_json(scope, status=404)
+        documents, content_fp = scope
         try:
             plan = app.plans.get(payload["xquery"],
                                  statistics=app.statistics)
         except XQuerySyntaxError as exc:
-            detail: dict = {"error": f"XQuerySyntaxError: {exc}"}
-            if exc.line is not None:
-                detail["line"] = exc.line
-                detail["column"] = exc.column
-                detail["context"] = exc.context()
-            return Response.of_json(detail, status=400)
+            return Response.of_json(_syntax_error_body(exc), status=400)
 
         def build() -> tuple[bytes, str]:
             if analyze:
@@ -526,6 +515,32 @@ def render_query_body(body: dict, status: int) -> bytes:
     return json.dumps(body, indent=2, sort_keys=True).encode("utf-8")
 
 
+def _scope(app: "ThaliaApp",
+           slug: object) -> tuple[DocumentResolver, str] | dict:
+    """The documents a query body's ``source`` names, as ``(doc()
+    resolver, content fingerprint)``: the one source, or the whole
+    testbed when *slug* is ``None``.  An unknown source yields its 404
+    body instead."""
+    if slug is None:
+        return (app.testbed.document_resolver(),
+                app.testbed.content_fingerprint())
+    if slug not in app.testbed:
+        return {"error": f"no such source: {slug}"}
+    return (DocumentResolver({slug: app.testbed.source(slug).document}),
+            app.testbed.content_fingerprint([slug]))
+
+
+def _syntax_error_body(exc: XQuerySyntaxError) -> dict:
+    """The 400 body of a query that does not parse, located by line and
+    column when the parser knows them."""
+    detail: dict = {"error": f"XQuerySyntaxError: {exc}"}
+    if exc.line is not None:
+        detail["line"] = exc.line
+        detail["column"] = exc.column
+        detail["context"] = exc.context()
+    return detail
+
+
 def _run_one_query(app: "ThaliaApp", payload: object) -> tuple[dict, int]:
     """Validate and execute one query item; ``(body, http status)``.
 
@@ -541,24 +556,14 @@ def _run_one_query(app: "ThaliaApp", payload: object) -> tuple[dict, int]:
             not isinstance(payload.get("xquery"), str):
         return {"error": "body must be a JSON object with an 'xquery' "
                          "string"}, 400
-    slug = payload.get("source")
-    if slug is not None:
-        if slug not in app.testbed:
-            return {"error": f"no such source: {slug}"}, 404
-        documents = {slug: app.testbed.source(slug).document}
-        content_fp = app.testbed.content_fingerprint([slug])
-    else:
-        documents = app.testbed.documents
-        content_fp = app.testbed.content_fingerprint()
+    scope = _scope(app, payload.get("source"))
+    if isinstance(scope, dict):
+        return scope, 404
+    documents, content_fp = scope
     try:
         plan = app.plans.get(payload["xquery"])
     except XQuerySyntaxError as exc:
-        detail: dict = {"error": f"XQuerySyntaxError: {exc}"}
-        if exc.line is not None:
-            detail["line"] = exc.line
-            detail["column"] = exc.column
-            detail["context"] = exc.context()
-        return detail, 400
+        return _syntax_error_body(exc), 400
 
     def compute() -> tuple[tuple, dict]:
         items = plan.execute(documents)

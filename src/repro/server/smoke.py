@@ -91,7 +91,7 @@ def _wait_for(url: str, process: subprocess.Popen,
 def _boot(port: int, scores: Path,
           extra_args: list[str] | None = None) -> subprocess.Popen:
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "--workers", "2", "serve",
+        [sys.executable, "-m", "repro.cli", "serve",
          "--port", str(port), "--scores", str(scores),
          *(extra_args or [])],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)

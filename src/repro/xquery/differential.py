@@ -245,7 +245,7 @@ def main() -> int:
     for scale in sorted({1, SCALE}):
         testbed = build_testbed(seed=2004, universities=universities,
                                 scale=scale)
-        testbeds[scale] = (testbed.documents, collect_statistics(
+        testbeds[scale] = (testbed.document_resolver(), collect_statistics(
             testbed.documents, fingerprint=testbed.content_fingerprint()))
     documents, statistics = testbeds[SCALE]
     print(f"statistics fingerprint {statistics.fingerprint[:12]} "
@@ -315,8 +315,9 @@ def main() -> int:
     print(f"generated scenario pack seed={PACK_SEED} "
           f"cases={CASES}:")
     suite = ScenarioSuite.generate(PACK_SEED, CASES)
-    pack_documents = suite.build_testbed().documents
-    pack_statistics = collect_statistics(pack_documents)
+    pack_testbed = suite.build_testbed()
+    pack_documents = pack_testbed.document_resolver()
+    pack_statistics = collect_statistics(pack_testbed.documents)
     specs = [query.spec for query in suite.queries]
     corpora = {
         "scenario": [(query.case_id, query.xquery)

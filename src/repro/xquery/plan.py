@@ -73,7 +73,7 @@ from .ast import (
     Sequence,
     VarRef,
 )
-from .context import DocumentResolver, DynamicContext
+from .context import DynamicContext
 from .errors import XQueryError, XQueryTypeError
 from .evaluator import (
     _compare_atomic,
@@ -147,40 +147,6 @@ class _ExecState:
         self.index = None
         self.trace: dict[int, list[int]] | None = None
         self.source_cache: dict[int, Seq] | None = None
-
-
-_RESOLVER_CACHE: dict[int, tuple] = {}
-_RESOLVER_CACHE_MAX = 8
-_RESOLVER_LOCK = threading.Lock()
-
-
-def _resolver_for(documents) -> DocumentResolver | None:
-    """A (cached) resolver for a plain document mapping.
-
-    Repeated executions against the same testbed mapping would otherwise
-    rebuild the resolver — and its document-node wrappers — every call.
-    The cache is validated per entry (same keys, identical document
-    objects), so callers that swap documents in the mapping still get a
-    fresh resolver.  One lock guards check, eviction and insert: plans
-    execute concurrently on server threads, and two unguarded evictions
-    could pop the same oldest key or iterate a resizing dict.
-    """
-    if documents is None or isinstance(documents, DocumentResolver):
-        return documents
-    key = id(documents)
-    with _RESOLVER_LOCK:
-        entry = _RESOLVER_CACHE.get(key)
-        if entry is not None and entry[0] is documents:
-            snapshot, resolver = entry[1], entry[2]
-            if len(snapshot) == len(documents) and all(
-                    documents.get(name) is doc for name, doc in snapshot):
-                return resolver
-        resolver = DocumentResolver(documents)
-        while len(_RESOLVER_CACHE) >= _RESOLVER_CACHE_MAX:
-            _RESOLVER_CACHE.pop(next(iter(_RESOLVER_CACHE)))
-        _RESOLVER_CACHE[key] = (documents, tuple(documents.items()),
-                                resolver)
-        return resolver
 
 
 def _atomize(seq: Seq, state: _ExecState) -> Seq:
@@ -2531,12 +2497,16 @@ class Plan:
                 analyze: bool = False) -> Seq:
         """Run the plan against a document set; thread-safe.
 
+        *documents* is a :class:`~repro.xquery.context.DocumentResolver`
+        or a plain name -> document mapping, which is wrapped in a fresh
+        resolver per call; callers that execute repeatedly over the same
+        documents pass one resolver (``Testbed.document_resolver()``).
         ``analyze=True`` records per-operator actuals (calls, rows,
         inclusive wall time) for :meth:`explain_data`/:meth:`explain`
         ``analyze`` rendering.  The recorded trace is the *last*
         analyzed execution's; results are identical either way.
         """
-        context = DynamicContext(documents=_resolver_for(documents),
+        context = DynamicContext(documents=documents,
                                  functions=self.functions,
                                  variables=variables)
         state = _ExecState()

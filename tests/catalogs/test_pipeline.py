@@ -117,17 +117,6 @@ class TestArtifactCache:
                   for seed in (2004, 2005, 2006)}
         assert len(prints) == 3
 
-    def test_no_cache_neither_reads_nor_writes(self, subset, tmp_path):
-        warmed = build_testbed(universities=subset[:1], cache_dir=tmp_path)
-        entry = ArtifactCache(tmp_path).entry_dir(subset[0], warmed.seed)
-        before = {p.name: p.stat().st_mtime_ns for p in entry.iterdir()}
-
-        bypass = build_testbed(universities=subset[:1], cache_dir=tmp_path,
-                               use_cache=False)
-        assert bypass.build_report.cache_hits == 0  # warm cache not read
-        after = {p.name: p.stat().st_mtime_ns for p in entry.iterdir()}
-        assert after == before  # and not rewritten
-
     def test_without_cache_dir_nothing_is_written(self, subset, tmp_path):
         build_testbed(universities=subset[:1])
         assert list(tmp_path.iterdir()) == []
@@ -135,10 +124,8 @@ class TestArtifactCache:
 
 class TestBuildReport:
     def test_report_shape(self, subset, tmp_path):
-        built = build_testbed(universities=subset, cache_dir=tmp_path,
-                              workers=2)
+        built = build_testbed(universities=subset, cache_dir=tmp_path)
         report = built.build_report
-        assert report.workers == 2
         assert report.cache_root == str(tmp_path)
         assert [r.slug for r in report.records] == [p.slug for p in subset]
         assert report.cache_hits + report.cache_misses == len(subset)
@@ -171,8 +158,7 @@ class TestBuildReport:
 
     def test_explicit_scraper_forces_serial_uncached(self, subset, tmp_path):
         built = build_testbed(universities=subset, scraper=TessScraper(),
-                              workers=4, cache_dir=tmp_path)
-        assert built.build_report.workers == 1
+                              cache_dir=tmp_path)
         assert built.build_report.cache_root is None
         assert list(tmp_path.iterdir()) == []
 

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.perf.schema import (
-    KIND_BENCH,
     KIND_REPORT,
     KIND_SNAPSHOT,
     SCHEMA_NAME,
@@ -26,11 +25,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 class TestStamp:
     def test_header_comes_first(self):
-        doc = stamp(KIND_BENCH, {"bench": "x", "data": 1})
+        doc = stamp(KIND_REPORT, {"ok": True, "data": 1})
         assert list(doc)[:3] == ["schema", "schema_version", "kind"]
         assert doc["schema"] == SCHEMA_NAME
         assert doc["schema_version"] == SCHEMA_VERSION
-        assert doc["kind"] == KIND_BENCH
+        assert doc["kind"] == KIND_REPORT
         assert doc["data"] == 1
 
     def test_unknown_kind_rejected(self):
@@ -39,7 +38,7 @@ class TestStamp:
 
     def test_is_stamped(self):
         assert is_stamped(stamp(KIND_REPORT, {}))
-        assert not is_stamped({"bench": "x"})
+        assert not is_stamped({"ok": True})
         assert not is_stamped(["not", "a", "dict"])
 
 
@@ -83,10 +82,13 @@ class TestValidation:
         assert any("min <= median <= p95" in p
                    for p in validate_document(doc))
 
-    def test_bench_needs_a_name(self):
-        assert validate_document(stamp(KIND_BENCH, {"bench": "b"})) == []
-        assert any("bench:" in p
-                   for p in validate_document(stamp(KIND_BENCH, {})))
+    def test_report_needs_a_verdict(self):
+        report = {"baseline": {}, "candidate": {}, "plan_regressions": [],
+                  "timing_regressions": [], "improvements": [], "ok": True}
+        assert validate_document(stamp(KIND_REPORT, report)) == []
+        del report["ok"]
+        assert any("ok:" in p
+                   for p in validate_document(stamp(KIND_REPORT, report)))
 
 
 class TestLoadDocument:
@@ -103,12 +105,12 @@ class TestLoadDocument:
     def test_kind_mismatch(self, tmp_path, baseline_snapshot):
         path = tmp_path / "snap.json"
         path.write_text(json.dumps(baseline_snapshot))
-        with pytest.raises(SchemaError, match="expected a 'bench'"):
-            load_document(path, expect_kind=KIND_BENCH)
+        with pytest.raises(SchemaError, match="expected a 'report'"):
+            load_document(path, expect_kind=KIND_REPORT)
 
     def test_unstamped_document_rejected(self, tmp_path):
         path = tmp_path / "bare.json"
-        path.write_text(json.dumps({"bench": "bench_x", "tiers": []}))
+        path.write_text(json.dumps({"ok": True, "cells": []}))
         with pytest.raises(SchemaError, match="schema:"):
             load_document(path)
 
@@ -120,17 +122,7 @@ class TestLoadDocument:
 
 
 class TestRepoTrajectoryFiles:
-    """Every committed BENCH_*.json and the perf baseline validate."""
-
-    @pytest.mark.parametrize("name", sorted(
-        path.name for path in REPO_ROOT.glob("BENCH_*.json")))
-    def test_bench_file_validates(self, name):
-        doc = load_document(REPO_ROOT / name, expect_kind=KIND_BENCH)
-        assert doc["bench"]
-
-    def test_all_three_bench_files_exist(self):
-        names = {path.name for path in REPO_ROOT.glob("BENCH_*.json")}
-        assert "BENCH_fleet.json" in names
+    """The committed perf baseline validates."""
 
     def test_committed_baseline_validates(self):
         doc = load_document(REPO_ROOT / "PERF_BASELINE.json",

@@ -13,6 +13,7 @@ import pytest
 from repro.server import ThaliaApp
 from repro.server.handlers import MAX_BATCH_QUERIES
 from repro.server.router import Request
+from repro.xquery import DocumentResolver
 
 CMU_QUERY = 'FOR $c in doc("cmu.xml")/cmu/Course RETURN $c/CourseTitle'
 ETH_QUERY = 'FOR $v in doc("eth.xml")/eth/Vorlesung RETURN $v/Titel'
@@ -74,6 +75,26 @@ class TestSingleQueryCaching:
         status, body = post(app, "/api/query",
                             {"xquery": CMU_QUERY, "source": "nowhere"})
         assert status == 404
+
+    def test_all_document_queries_share_one_resolver(self, app,
+                                                     monkeypatch):
+        """``Testbed.documents`` is a fresh dict per call, so a resolver
+        cache keyed on the mapping never hits; the testbed's own
+        resolver is built at most once however many queries run."""
+        built = []
+        original = DocumentResolver.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DocumentResolver, "__init__", counting)
+        for title in ("Database", "Compiler"):
+            status, body = post(app, "/api/query", {"xquery": (
+                'FOR $c in doc("cmu.xml")/cmu/Course '
+                f'WHERE contains($c/CourseTitle, "{title}") RETURN $c')})
+            assert status == 200 and body["cached"] is False
+        assert len(built) <= 1
 
 
 class TestBatchEndpoint:

@@ -1,15 +1,12 @@
 """Compiled plans: byte-identical to the interpreter, observable stats."""
 
-import sys
-import threading
-
 import pytest
 
 from repro.core.queries import QUERIES
 from repro.xmlmodel import XmlDocument, element
 from repro.xquery import Query, XQueryTypeError, compile_query, run_query
 from repro.xquery.differential import outcomes, render
-from repro.xquery.plan import IndexedPathOp, _resolver_for
+from repro.xquery.plan import IndexedPathOp
 
 
 def _both_ways(source, documents):
@@ -199,36 +196,6 @@ class TestEquivalenceCorners:
     def test_duplicate_elimination_matches(self, docs):
         interp, planned = _both_ways("doc('d')//c//v", docs)
         assert planned == interp
-
-
-class TestResolverCache:
-    def test_concurrent_evictions_never_raise(self):
-        """Server threads execute plans concurrently, each request with a
-        fresh document mapping, so every call may evict the oldest cached
-        resolver; racing evictions must neither pop the same key twice
-        nor iterate the cache while another thread resizes it."""
-        document = XmlDocument(element("r"))
-        errors = []
-
-        def hammer():
-            try:
-                for _ in range(20_000):
-                    _resolver_for({"d": document})
-            except Exception as exc:  # noqa: BLE001 - collected below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=hammer) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
 
 
 class TestPlanStats:
