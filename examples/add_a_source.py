@@ -12,7 +12,6 @@ Run with::
 
 from repro.catalogs import build_testbed
 from repro.catalogs.universities import GenericSpec, GenericUniversity
-from repro.catalogs.testbed import build_source
 from repro.integration import generic_mapping, standard_mediator
 from repro.xmlmodel import serialize_pretty
 
@@ -37,8 +36,9 @@ def main() -> None:
     )
     profile = GenericUniversity(spec)
 
-    # 2. Run the snapshot -> TESS -> XML pipeline for it.
-    bundle = build_source(profile, seed=2004)
+    # 2. Run the snapshot -> TESS -> XML pipeline for it alone.
+    bundle = build_testbed(seed=2004, universities=[profile]).source(
+        profile.slug)
     print(f"{profile.name}: extracted {bundle.stats.records} courses")
     print("First extracted record:")
     print(serialize_pretty(bundle.document.root.find("Course"),

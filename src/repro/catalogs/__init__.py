@@ -44,7 +44,6 @@ from .testbed import (
     DEFAULT_SEED,
     SourceBundle,
     Testbed,
-    build_source,
     load_testbed,
 )
 from .universities import UniversityProfile
@@ -68,7 +67,6 @@ __all__ = [
     "Testbed",
     "UniversityProfile",
     "all_universities",
-    "build_source",
     "extended_universities",
     "future_universities",
     "build_testbed",

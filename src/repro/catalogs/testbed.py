@@ -5,8 +5,8 @@ every registered source and returns a :class:`Testbed`, the object the
 rest of the system works against: the benchmark reads its documents, gold
 answers read its canonical courses, the web site generator reads its
 snapshots and schemas.  This module holds the data side: the per-source
-:class:`SourceBundle`, the assembled :class:`Testbed` with its
-save/load round trip, and :func:`build_source`, the one-source pipeline.
+:class:`SourceBundle` and the assembled :class:`Testbed` with its
+save/load round trip.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..tess import ExtractionStats, TessScraper, WrapperConfig
+from ..tess import ExtractionStats, WrapperConfig
 from ..xmlmodel import (
     XmlDocument,
     XmlSchema,
-    infer_schema,
     parse_xml,
     parse_xsd,
     serialize_digest,
@@ -295,22 +294,6 @@ class Testbed:
         for slug, sha in hashes.items():
             bed.prime_document_hash(slug, sha)
         return bed
-
-
-def build_source(profile: UniversityProfile, seed: int,
-                 scraper: TessScraper | None = None,
-                 scale: int = 1) -> SourceBundle:
-    """Run the pipeline for one source."""
-    engine = scraper if scraper is not None else TessScraper()
-    courses = profile.build_courses(seed, scale=scale)
-    snapshot = profile.render(courses)
-    config = profile.wrapper_config()
-    document = engine.extract(snapshot, config)
-    schema = infer_schema(document)
-    assert engine.last_stats is not None
-    return SourceBundle(
-        profile=profile, courses=courses, snapshot=snapshot, config=config,
-        document=document, schema=schema, stats=engine.last_stats)
 
 
 def load_testbed(directory: str | Path) -> Testbed:

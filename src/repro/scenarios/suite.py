@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import TYPE_CHECKING, Iterable
 
-from ..catalogs import Testbed, build_source
+from ..catalogs import Testbed, build_testbed
 from ..core.queries import Answer, BenchmarkQuery
 from ..core.runner import run_benchmark
 from ..core.scoring import ScoreCard, validate_claims
 from ..integration.capabilities import Capability
-from ..tess import TessScraper
 from ..xquery import ast, compile_query, unparse
 from .compose import scenario_profiles
 from .dsl import SCENARIO_NUMBER_BASE, ScenarioSpec, generate_specs
@@ -193,20 +192,18 @@ class ScenarioSuite:
         return histogram
 
     def build_testbed(self, scale: int = 1) -> Testbed:
-        """Render every case's source pair through the TESS pipeline.
+        """Build every case's source pair through the one build pipeline
+        (:func:`repro.catalogs.build_testbed`, uncached).
 
         ``scale`` multiplies each generated catalog exactly like the
         canonical testbed's scale tier (``scale=1`` stays byte-identical
         to builds from before the parameter existed).
         """
-        scraper = TessScraper()
-        bundles = []
+        profiles = []
         for query in self.queries:
             assert query.spec is not None
-            for profile in scenario_profiles(query.spec):
-                bundles.append(build_source(profile, self.seed,
-                                            scraper=scraper, scale=scale))
-        return Testbed(bundles, seed=self.seed, scale=scale)
+            profiles.extend(scenario_profiles(query.spec))
+        return build_testbed(self.seed, universities=profiles, scale=scale)
 
     def run(self, system: "IntegrationSystem",
             testbed: Testbed) -> ScoreCard:

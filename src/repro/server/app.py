@@ -17,12 +17,13 @@ import os
 import threading
 import time
 import traceback
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
+from ..cache import BoundedCache
 from ..catalogs import Testbed, shared_testbed
 from ..core import QUERIES
 from ..website import SiteGenerator
@@ -33,7 +34,7 @@ from ..xquery import (
     like_cache_stats,
     statistics_cache_stats,
 )
-from .cache import CacheEntry, ContentCache
+from .cache import CacheEntry, ContentCache, make_entry
 from .handlers import build_router
 from .metrics import ServerMetrics, percentile
 from .router import Request, Response
@@ -50,7 +51,8 @@ DEFAULT_PERF_BASELINE = "PERF_BASELINE.json"
 #: Bodies below this aren't worth a gzip round trip.
 GZIP_MIN_BYTES = 256
 
-#: Generated scenario packs kept in memory (oldest evicted past this).
+#: Generated scenario packs kept in memory (least recently used evicted
+#: past this); each pack's bundle bytes are held only here.
 MAX_SCENARIO_PACKS = 8
 
 #: Per-operator q-errors remembered for the estimate-error quantiles of
@@ -110,9 +112,11 @@ class ThaliaApp:
         self._perf_summary: tuple[float, dict] | None = None
         self._perf_summary_lock = threading.Lock()
         # Generated scenario packs (POST /api/scenarios), keyed by pack
-        # fingerprint.  Bounded: the oldest pack is dropped past the cap,
+        # fingerprint: {"bundle": CacheEntry, "summary": dict}.  Bounded,
         # so a chatty client cannot grow server memory without limit.
-        self.scenario_packs: OrderedDict[str, dict] = OrderedDict()
+        self.scenario_packs: BoundedCache[str, dict] = BoundedCache(
+            MAX_SCENARIO_PACKS,
+            sizeof=lambda pack: len(pack["bundle"].body))
         self._scenario_lock = threading.Lock()
         self._scenario_stats = {
             "packs_generated": 0,
@@ -207,7 +211,7 @@ class ThaliaApp:
         estimate-error quantiles from analyzed explains."""
         decisions: dict[str, int] = {}
         costed_plans = 0
-        for plan in self.plans.entries():
+        for plan in self.plans.values():
             if getattr(plan, "costed", False):
                 costed_plans += 1
                 for name, count in plan.decisions.items():
@@ -258,17 +262,14 @@ class ThaliaApp:
             "tiers": histogram,
             "url": f"/api/scenarios/{pack.fingerprint}",
         }
-        with self._scenario_lock:
-            fresh = pack.fingerprint not in self.scenario_packs
-            self.scenario_packs[pack.fingerprint] = {
-                "fingerprint": pack.fingerprint,
-                "bundle": pack.bundle_json().encode("utf-8"),
+        _, status = self.scenario_packs.lookup(
+            pack.fingerprint, lambda: {
+                "bundle": make_entry(pack.bundle_json().encode("utf-8"),
+                                     "application/json"),
                 "summary": summary,
-            }
-            self.scenario_packs.move_to_end(pack.fingerprint)
-            while len(self.scenario_packs) > MAX_SCENARIO_PACKS:
-                self.scenario_packs.popitem(last=False)
-            if fresh:
+            })
+        if status == "miss":
+            with self._scenario_lock:
                 stats = self._scenario_stats
                 stats["packs_generated"] += 1
                 stats["cases_generated"] += len(suite.queries)
@@ -279,9 +280,9 @@ class ThaliaApp:
 
     def scenario_pack_entry(self, fingerprint: str) -> dict | None:
         """The stored pack for *fingerprint*; counts the download."""
-        with self._scenario_lock:
-            entry = self.scenario_packs.get(fingerprint)
-            if entry is not None:
+        entry = self.scenario_packs.find(fingerprint)
+        if entry is not None:
+            with self._scenario_lock:
                 self._scenario_stats["cases_served"] += \
                     entry["summary"]["cases"]
         return entry
@@ -291,7 +292,8 @@ class ThaliaApp:
         with self._scenario_lock:
             stats = dict(self._scenario_stats)
             stats["tiers"] = dict(stats["tiers"])
-            stats["packs_held"] = len(self.scenario_packs)
+        stats["packs_held"] = len(self.scenario_packs)
+        stats["cache"] = self.scenario_packs.stats()
         return stats
 
     @property
@@ -316,16 +318,23 @@ class ThaliaApp:
 
     # -- handler helpers -------------------------------------------------- #
 
-    def cached_response(self, key, builder) -> Response:
+    def cached_response(self, key, builder,
+                        revision: int | None = None) -> Response:
         """Serve ``(body, content_type)`` from the content cache."""
-        entry, was_hit = self.cache.get_or_build(key, builder)
+        return self.entry_response(
+            *self.cache.get_or_build(key, builder, revision=revision))
+
+    @staticmethod
+    def entry_response(entry: CacheEntry, was_hit: bool = True) -> Response:
+        """A response replaying a cached body with its ETag."""
         response = Response(body=entry.body, content_type=entry.content_type,
                             etag=entry.etag, cache_hit=was_hit)
         response._entry = entry  # transfer-gzip reuse in _finalize
         return response
 
     def page_response(self, relpath: str) -> Response:
-        """One site HTML page, rendered lazily and cached forever."""
+        """One site HTML page, rendered on first request and replayed
+        from the content cache."""
         try:
             return self.cached_response(
                 ("page", relpath),
@@ -336,18 +345,16 @@ class ThaliaApp:
                 {"error": f"no such page: /{relpath}"}, status=404)
 
     def honor_roll_response(self) -> Response:
-        """The honor-roll page, cached per store revision: uploads
-        invalidate it immediately, everything else replays it."""
-        revision = str(self.store.revision)
-        response = self.cached_response(
-            ("honor_roll_html", revision),
+        """The honor-roll page, one cache entry stamped with the store
+        revision it shows: an upload makes it stale, so the next read
+        rebuilds it in place; everything else replays it."""
+        return self.cached_response(
+            ("honor_roll", "html"),
             lambda: (self.site.render_page("honor_roll.html").encode("utf-8"),
-                     "text/html; charset=utf-8"))
-        self.cache.prune_group("honor_roll_html", keep_variant=revision)
-        return response
+                     "text/html; charset=utf-8"),
+            revision=self.store.revision)
 
     def honor_roll_json_response(self) -> Response:
-        revision = str(self.store.revision)
 
         def build():
             payload = [{
@@ -361,9 +368,8 @@ class ThaliaApp:
             } for position, entry in enumerate(self.store.ranked(), start=1)]
             return Response.of_json(payload).body, "application/json"
 
-        response = self.cached_response(("honor_roll_json", revision), build)
-        self.cache.prune_group("honor_roll_json", keep_variant=revision)
-        return response
+        return self.cached_response(("honor_roll", "json"), build,
+                                    revision=self.store.revision)
 
     # -- dispatch ---------------------------------------------------------- #
 

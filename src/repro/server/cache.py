@@ -1,15 +1,18 @@
-"""In-memory content cache with sha256 ETags and memoized gzip variants.
+"""In-memory response cache with sha256 ETags and memoized gzip variants.
 
-Everything the benchmark service serves is deterministic in the testbed
-build (pages, XML, XSDs, the three zip bundles) or in the honor-roll
-store's revision (the honor-roll views), so responses are rendered once
-and replayed from memory.  Each entry carries a strong ``ETag`` — the
-sha256 of the body — enabling conditional GETs, and lazily memoizes a
+Everything the benchmark service serves from here is deterministic in
+the testbed build (pages, XML, XSDs, the three zip bundles), in the
+honor-roll store's revision (the honor-roll views) or in the query and
+statistics (``/api/explain``), so responses are rendered once and
+replayed from memory.  Each entry carries a strong ``ETag`` — the sha256
+of the body — enabling conditional GETs, and lazily memoizes a
 deterministic gzip variant (``mtime=0``) for clients that accept it.
 
-Keys are ``(group, variant)`` pairs; :meth:`ContentCache.prune_group`
-drops superseded variants (old honor-roll revisions) so the cache stays
-bounded even under a stream of score uploads.
+:class:`ContentCache` is a :class:`~repro.cache.BoundedCache` held to
+:data:`MAX_ENTRIES` entries and :data:`MAX_BYTES` of bodies, so
+client-chosen keys (every distinct explained query) evict
+least-recently-used responses instead of growing without end.  An
+evicted response is rebuilt on its next request with the same bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
-Key = tuple[str, str]
+from ..cache import BoundedCache
+
+Key = tuple
+
+#: The whole static site is 161 entries: 0.54 MB of bodies at scale 1
+#: and 2.0 MB at scale 8.  Both bounds hold it with wide headroom.
+MAX_ENTRIES = 1024
+MAX_BYTES = 32 * 1024 * 1024
 
 
 @dataclass
@@ -30,8 +40,8 @@ class CacheEntry:
     body: bytes
     content_type: str
     etag: str                       # quoted strong ETag: "<sha256>"
+    revision: int | None = None     # store revision an honor-roll view shows
     gzip_body: bytes | None = None  # memoized on first gzip-accepting GET
-    hits: int = 0
     _gzip_lock: threading.Lock = field(default_factory=threading.Lock,
                                        repr=False)
 
@@ -48,73 +58,29 @@ def make_etag(body: bytes) -> str:
     return f'"{hashlib.sha256(body).hexdigest()}"'
 
 
-class ContentCache:
-    """Thread-safe build-once replay-forever response cache."""
+def make_entry(body: bytes, content_type: str,
+               revision: int | None = None) -> CacheEntry:
+    return CacheEntry(body=body, content_type=content_type,
+                      etag=make_etag(body), revision=revision)
+
+
+class ContentCache(BoundedCache[Key, CacheEntry]):
+    """Thread-safe bounded response cache; ``bytes`` counts bodies."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: dict[Key, CacheEntry] = {}
-        self.hits = 0
-        self.misses = 0
-        self.builds = 0
-        self.bytes = 0   # running sum of cached body lengths
+        super().__init__(MAX_ENTRIES, max_bytes=MAX_BYTES,
+                         sizeof=lambda entry: len(entry.body))
 
     def get_or_build(self, key: Key,
-                     builder: Callable[[], tuple[bytes, str]]
-                     ) -> tuple[CacheEntry, bool]:
-        """Return ``(entry, was_hit)``, building the body on first use.
+                     builder: Callable[[], tuple[bytes, str]],
+                     revision: int | None = None) -> tuple[CacheEntry, bool]:
+        """Return ``(entry, was_hit)``, building the body on a miss.
 
-        The builder runs outside the lock (builds can be slow — a zip
-        bundle takes real work); when two threads race on the same cold
-        key the first stored entry wins, so every caller observes one
-        canonical body and ETag.
+        With *revision*, an entry built at an older revision is stale:
+        the body is rebuilt and replaces it under the same key.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                entry.hits += 1
-                self.hits += 1
-                return entry, True
-        body, content_type = builder()
-        built = CacheEntry(body=body, content_type=content_type,
-                           etag=make_etag(body))
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:           # lost the race: keep canonical
-                entry.hits += 1
-                self.hits += 1
-                return entry, True
-            self._entries[key] = built
-            self.bytes += len(built.body)
-            self.misses += 1
-            self.builds += 1
-            return built, False
-
-    def prune_group(self, group: str, keep_variant: str) -> int:
-        """Drop every entry of *group* except *keep_variant*."""
-        with self._lock:
-            stale = [key for key in self._entries
-                     if key[0] == group and key[1] != keep_variant]
-            for key in stale:
-                self.bytes -= len(self._entries[key].body)
-                del self._entries[key]
-            return len(stale)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> dict:
-        # ``bytes`` is maintained on insert/prune rather than re-summed
-        # here: /api/stats is polled by monitors, and walking every body
-        # under the lock stalled concurrent cache hits.
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self.bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "builds": self.builds,
-                "hit_rate": round(self.hits / (self.hits + self.misses), 4)
-                if (self.hits + self.misses) else 0.0,
-            }
+        entry, status = self.lookup(
+            key, lambda: make_entry(*builder(), revision),
+            None if revision is None
+            else lambda held: held.revision >= revision)
+        return entry, status != "miss"

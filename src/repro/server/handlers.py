@@ -221,11 +221,9 @@ def build_router() -> Router:
             return Response.of_json(
                 {"error": f"no such scenario pack: {fingerprint}"},
                 status=404)
-        # Pack bytes are immutable (content-addressed by fingerprint),
-        # so the content cache's ETag/gzip machinery applies as-is.
-        return app.cached_response(
-            ("scenario-pack", fingerprint),
-            lambda: (entry["bundle"], "application/json"))
+        # The pack store holds the bundle as a cache entry (ETag, gzip
+        # memo), so it replays like any content-cache response.
+        return app.entry_response(entry["bundle"])
 
     @router.get("/api/stats", name="api_stats")
     def api_stats(app: "ThaliaApp", request: Request) -> Response:
@@ -238,7 +236,7 @@ def build_router() -> Router:
             "revision": app.store.revision,
         }
         queries = []
-        for plan in app.plans.entries():
+        for plan in app.plans.values():
             entry = plan.stats_snapshot()
             entry["query"] = _BENCH_LABELS.get(plan.source, "ad-hoc")
             entry["rewrites"] = plan.rewrites
@@ -292,10 +290,11 @@ def build_router() -> Router:
         Body: ``{"xquery": ..., "source": ...?, "analyze": ...?}``.
         ``analyze=true`` executes the plan once instrumented and joins
         actual rows/calls/wall-time onto the tree.  Responses go through
-        the content cache (ETag/gzip): plans and estimates are pure
-        functions of (query, statistics), so they cache forever; an
-        analyzed response replays the *first* analyzed run's actuals —
-        row counts are deterministic, wall times are that run's.
+        the bounded content cache (ETag/gzip): plans and estimates are
+        pure functions of (query, statistics), so a plain explain that
+        was evicted is rebuilt byte-identical.  A held analyzed response
+        replays its run's actuals; one rebuilt after eviction carries
+        the new run's wall times (row counts are deterministic).
         """
         try:
             payload = request.json()

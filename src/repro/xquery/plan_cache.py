@@ -13,26 +13,17 @@ claim validator and the CLI use; the server keeps its own instance so
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
+from ..cache import BoundedCache
 from .functions import FunctionRegistry, default_registry
 from .plan import Plan, compile_query
 
 
-class PlanCache:
+class PlanCache(BoundedCache[tuple, Plan]):
     """Thread-safe LRU mapping query text (+ function registry) to
     compiled :class:`~repro.xquery.plan.Plan` objects."""
 
     def __init__(self, maxsize: int = 256) -> None:
-        if maxsize < 1:
-            raise ValueError("PlanCache maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._plans: OrderedDict[tuple, Plan] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(maxsize)
 
     def get(self, source: str,
             functions: FunctionRegistry | None = None,
@@ -42,66 +33,19 @@ class PlanCache:
         *statistics* (a :class:`repro.xquery.stats.Statistics`) enables
         cost-based planning and becomes part of the cache key — a plan
         costed against one statistics snapshot is never served for
-        another (or for an un-costed request).
-
-        Compilation happens outside the lock; when two threads race on
-        the same miss the first stored plan wins so cumulative stats
-        stay on one object.
+        another (or for an un-costed request).  Racing misses compile
+        once, so cumulative run stats stay on one plan object.
         """
         registry = functions if functions is not None else default_registry()
         key = (source, registry.fingerprint(),
                statistics.fingerprint if statistics is not None else None)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.hits += 1
-                self._plans.move_to_end(key)
-                return plan
-            self.misses += 1
-        compiled = compile_query(source, registry, statistics=statistics)
-        with self._lock:
-            existing = self._plans.get(key)
-            if existing is not None:
-                self._plans.move_to_end(key)
-                return existing
-            self._plans[key] = compiled
-            while len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
-                self.evictions += 1
-        return compiled
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
+        plan, _status = self.lookup(
+            key, lambda: compile_query(source, registry,
+                                       statistics=statistics))
+        return plan
 
     def __contains__(self, source: str) -> bool:
-        with self._lock:
-            return any(key[0] == source for key in self._plans)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def entries(self) -> list[Plan]:
-        """Cached plans, least- to most-recently used."""
-        with self._lock:
-            return list(self._plans.values())
-
-    def stats(self) -> dict:
-        with self._lock:
-            lookups = self.hits + self.misses
-            return {
-                "size": len(self._plans),
-                "maxsize": self.maxsize,
-                "lookups": lookups,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_rate": round(self.hits / lookups, 4) if lookups else 0.0,
-            }
+        return any(key[0] == source for key in self.keys())
 
 
 _SHARED = PlanCache()

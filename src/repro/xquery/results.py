@@ -21,11 +21,12 @@ result: its content fingerprint differs, so the old entries are simply
 never addressed again (the same invalidation-by-addressing scheme as the
 build pipeline's :class:`~repro.catalogs.pipeline.ArtifactCache`).
 
-Misses are **single-flight**: when several threads race on the same cold
-key, one computes while the rest wait for that result instead of
-re-executing (the ``coalesced`` counter counts the waiters).  Failures
-are never cached — every waiter of a failed flight sees the error, and
-the next caller recomputes.
+It is a :class:`~repro.cache.BoundedCache`, so misses are
+**single-flight**: when several threads race on the same cold key, one
+computes while the rest wait for that result instead of re-executing
+(the ``coalesced`` counter counts the waiters).  Failures are never
+cached — every waiter of a failed flight sees the error, and the next
+caller recomputes.
 
 Cached values are shared across callers and threads and must be treated
 as immutable; everything this repo caches (result sequences, gold-answer
@@ -39,10 +40,9 @@ its own so ``/api/stats`` reports request-driven hit rates.
 from __future__ import annotations
 
 import sys
-import threading
-from collections import OrderedDict
 from typing import Callable, TypeVar
 
+from ..cache import BoundedCache
 from ..xmlmodel import XmlElement, serialize
 from .plan import Plan
 
@@ -73,93 +73,22 @@ def estimate_bytes(value: object) -> int:
     return sys.getsizeof(value)
 
 
-class _Entry:
-    __slots__ = ("value", "size")
-
-    def __init__(self, value, size: int) -> None:
-        self.value = value
-        self.size = size
-
-
-class _Flight:
-    """One in-progress computation other threads can await."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value = None
-        self.error: BaseException | None = None
-
-
-class ResultCache:
-    """Thread-safe bounded LRU of computed results, single-flight on miss."""
+class ResultCache(BoundedCache[Key, object]):
+    """Thread-safe bounded LRU of computed results, single-flight on miss;
+    ``bytes`` sums :func:`estimate_bytes` over the held values."""
 
     def __init__(self, maxsize: int = 512) -> None:
-        if maxsize < 1:
-            raise ValueError("ResultCache maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[Key, _Entry] = OrderedDict()
-        self._inflight: dict[Key, _Flight] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.coalesced = 0
-        self.bytes = 0          # running total; updated on insert/evict
-
-    # -- core ------------------------------------------------------------- #
+        super().__init__(maxsize, sizeof=estimate_bytes)
 
     def fetch(self, task_fingerprint: str, content_fingerprint: str,
               compute: Callable[[], T]) -> tuple[T, str]:
         """``(value, status)`` where status is ``hit``/``miss``/``coalesced``.
 
-        The computation runs outside the lock.  Exactly one thread
-        computes a given cold key; concurrent callers block on that
-        flight's result.  A failed computation propagates its error to
-        every waiter and leaves nothing cached.
+        Exactly one thread computes a given cold key; concurrent callers
+        block on that flight's result.  A failed computation propagates
+        its error to every waiter and leaves nothing cached.
         """
-        key = (task_fingerprint, content_fingerprint)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return entry.value, "hit"
-            flight = self._inflight.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._inflight[key] = flight
-                self.misses += 1
-                leader = True
-            else:
-                self.coalesced += 1
-                leader = False
-        if not leader:
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            return flight.value, "coalesced"
-        try:
-            value = compute()
-        except BaseException as exc:
-            flight.error = exc
-            with self._lock:
-                self._inflight.pop(key, None)
-            flight.event.set()
-            raise
-        size = estimate_bytes(value)
-        with self._lock:
-            self._entries[key] = _Entry(value, size)
-            self.bytes += size
-            while len(self._entries) > self.maxsize:
-                _, evicted = self._entries.popitem(last=False)
-                self.bytes -= evicted.size
-                self.evictions += 1
-            self._inflight.pop(key, None)
-        flight.value = value
-        flight.event.set()
-        return value, "miss"
+        return self.lookup((task_fingerprint, content_fingerprint), compute)
 
     def get_or_compute(self, task_fingerprint: str, content_fingerprint: str,
                        compute: Callable[[], T]) -> T:
@@ -173,40 +102,6 @@ class ResultCache:
         fingerprint plus the document set's content fingerprint."""
         return self.get_or_compute(plan.fingerprint, content_fingerprint,
                                    lambda: plan.execute(documents))
-
-    # -- maintenance ------------------------------------------------------ #
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop entries and reset counters (in-flight work is unaffected:
-        a racing leader still publishes into the now-empty table)."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.coalesced = 0
-            self.bytes = 0
-
-    def stats(self) -> dict:
-        with self._lock:
-            lookups = self.hits + self.misses + self.coalesced
-            served = self.hits + self.coalesced
-            return {
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "bytes": self.bytes,
-                "lookups": lookups,
-                "served": served,
-                "hits": self.hits,
-                "misses": self.misses,
-                "coalesced": self.coalesced,
-                "evictions": self.evictions,
-                "hit_rate": round(served / lookups, 4) if lookups else 0.0,
-            }
 
 
 _SHARED = ResultCache()

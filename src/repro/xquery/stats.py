@@ -19,17 +19,18 @@ differential test holds it.
 
 Documents are immutable once built, so statistics are cached per
 *content fingerprint* (the same identity the result cache keys on): the
-module-level cache makes repeated compilations against one testbed a
-dict probe.  ``/api/stats`` reports the hit/miss counters.
+module-level :class:`~repro.cache.BoundedCache` (16 entries) makes
+repeated compilations against one testbed a dict probe, and concurrent
+first requests collect once.  ``/api/stats`` reports its counters.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Mapping
 
+from ..cache import BoundedCache
 from .context import DocumentResolver
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -270,10 +271,19 @@ def _collect_document(name: str, document: "XmlDocument") -> DocumentStats:
         sampled_exactly=sampled_exactly, attr_values=attr_values)
 
 
-_STATS_CACHE: OrderedDict[str, Statistics] = OrderedDict()
-_STATS_LOCK = threading.Lock()
-_STATS_CACHE_MAX = 16
-_STATS_COUNTERS = {"hits": 0, "misses": 0, "collections": 0}
+_STATS_CACHE: BoundedCache[str, Statistics] = BoundedCache(16)
+_collections_lock = threading.Lock()
+_collections = 0
+
+
+def _collect(documents: Mapping[str, "XmlDocument"]) -> Statistics:
+    global _collections
+    with _collections_lock:
+        _collections += 1
+    return Statistics({
+        DocumentResolver._normalize(name): _collect_document(
+            DocumentResolver._normalize(name), document)
+        for name, document in documents.items()})
 
 
 def collect_statistics(documents: Mapping[str, "XmlDocument"], *,
@@ -282,53 +292,30 @@ def collect_statistics(documents: Mapping[str, "XmlDocument"], *,
 
     With *fingerprint* — the document set's content fingerprint, e.g.
     :meth:`~repro.catalogs.Testbed.content_fingerprint` — results are
-    cached module-wide: identical content never pays collection twice.
-    Without one, collection runs uncached (the caller has no identity to
-    key on).
+    cached module-wide in a bounded single-flight LRU: identical content
+    never pays collection twice while it stays among the 16 most
+    recently used.  Without one, collection runs uncached (the caller
+    has no identity to key on).
     """
-    if fingerprint is not None:
-        with _STATS_LOCK:
-            cached = _STATS_CACHE.get(fingerprint)
-            if cached is not None:
-                _STATS_COUNTERS["hits"] += 1
-                _STATS_CACHE.move_to_end(fingerprint)
-                return cached
-            _STATS_COUNTERS["misses"] += 1
-    collected = Statistics({
-        DocumentResolver._normalize(name): _collect_document(
-            DocumentResolver._normalize(name), document)
-        for name, document in documents.items()})
-    with _STATS_LOCK:
-        _STATS_COUNTERS["collections"] += 1
-        if fingerprint is not None:
-            _STATS_CACHE[fingerprint] = collected
-            _STATS_CACHE.move_to_end(fingerprint)
-            while len(_STATS_CACHE) > _STATS_CACHE_MAX:
-                _STATS_CACHE.popitem(last=False)
-    return collected
+    if fingerprint is None:
+        return _collect(documents)
+    statistics, _status = _STATS_CACHE.lookup(
+        fingerprint, lambda: _collect(documents))
+    return statistics
 
 
 def statistics_cache_stats() -> dict:
-    """Hit/miss counters for the ``planner`` block of ``/api/stats``."""
-    with _STATS_LOCK:
-        lookups = _STATS_COUNTERS["hits"] + _STATS_COUNTERS["misses"]
-        return {
-            "entries": len(_STATS_CACHE),
-            "maxsize": _STATS_CACHE_MAX,
-            "hits": _STATS_COUNTERS["hits"],
-            "misses": _STATS_COUNTERS["misses"],
-            "collections": _STATS_COUNTERS["collections"],
-            "hit_rate": round(_STATS_COUNTERS["hits"] / lookups, 4)
-            if lookups else 0.0,
-        }
+    """The statistics cache's counters for the ``planner`` block of
+    ``/api/stats``, plus ``collections`` (cached or not)."""
+    return {**_STATS_CACHE.stats(), "collections": _collections}
 
 
 def clear_statistics_cache() -> None:
     """Drop every cached statistics object and zero the counters."""
-    with _STATS_LOCK:
-        _STATS_CACHE.clear()
-        for key in _STATS_COUNTERS:
-            _STATS_COUNTERS[key] = 0
+    global _collections
+    _STATS_CACHE.clear()
+    with _collections_lock:
+        _collections = 0
 
 
 __all__ = [

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.catalogs import build_source
+from repro.catalogs import build_testbed
 from repro.catalogs.universities import GenericSpec, GenericUniversity
 from repro.integration import Mediator, generic_mapping
+
+
+def _bundle(profile, seed):
+    """One source built through the pipeline entry point."""
+    return build_testbed(seed, universities=[profile]).source(profile.slug)
 
 
 def make_spec(**overrides):
@@ -41,7 +46,7 @@ class TestSpecValidation:
 class TestLayouts:
     def test_pipeline_round_trip(self, layout):
         profile = GenericUniversity(make_spec(layout=layout))
-        bundle = build_source(profile, seed=11)
+        bundle = _bundle(profile, seed=11)
         assert bundle.stats.records == 6
         first = bundle.document.root.find("Course")
         assert first.find("Code") is not None
@@ -50,12 +55,12 @@ class TestLayouts:
 
     def test_schema_valid(self, layout):
         profile = GenericUniversity(make_spec(layout=layout))
-        bundle = build_source(profile, seed=11)
+        bundle = _bundle(profile, seed=11)
         bundle.schema.validate(bundle.document)
 
     def test_mediator_integration(self, layout):
         profile = GenericUniversity(make_spec(layout=layout))
-        bundle = build_source(profile, seed=11)
+        bundle = _bundle(profile, seed=11)
         mediator = Mediator({profile.slug: generic_mapping(profile)})
         courses = mediator.integrate_document(bundle.document)
         assert len(courses) == 6
@@ -76,14 +81,14 @@ class TestClockConventions:
 
     def test_units_omitted_when_unconfigured(self):
         profile = GenericUniversity(make_spec(units_tag=None))
-        bundle = build_source(profile, seed=3)
+        bundle = _bundle(profile, seed=3)
         assert all(c.find("Credits") is None
                    for c in bundle.document.root.findall("Course"))
 
     def test_german_units_render_workload(self):
         profile = GenericUniversity(make_spec(
             german=True, units_tag="Umfang", units_choices=(9,)))
-        bundle = build_source(profile, seed=3)
+        bundle = _bundle(profile, seed=3)
         values = {c.findtext("Umfang")
                   for c in bundle.document.root.findall("Course")}
         assert values == {"2V1U"}

@@ -8,10 +8,15 @@ round-trip through render → TESS → XML → mediator.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.catalogs import build_source
+from repro.catalogs import build_testbed
 from repro.catalogs.universities import GenericSpec, GenericUniversity
 from repro.integration import Mediator, generic_mapping
 from repro.xmlmodel import is_valid_name
+
+
+def _bundle(profile, seed):
+    """One source built through the pipeline entry point."""
+    return build_testbed(seed, universities=[profile]).source(profile.slug)
 
 _tag_names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{1,14}", fullmatch=True) \
     .filter(is_valid_name)
@@ -41,7 +46,7 @@ class TestPipelineProperties:
     @given(_specs(), st.integers(min_value=0, max_value=9999))
     def test_render_extract_round_trip(self, spec, seed):
         profile = GenericUniversity(spec)
-        bundle = build_source(profile, seed)
+        bundle = _bundle(profile, seed)
         records = bundle.document.root.findall("Course")
         assert len(records) == spec.course_count
         # Every record carries the configured tags with content.
@@ -55,7 +60,7 @@ class TestPipelineProperties:
               suppress_health_check=[HealthCheck.too_slow])
     @given(_specs(), st.integers(min_value=0, max_value=9999))
     def test_schema_self_validates(self, spec, seed):
-        bundle = build_source(GenericUniversity(spec), seed)
+        bundle = _bundle(GenericUniversity(spec), seed)
         bundle.schema.validate(bundle.document)
 
     @settings(max_examples=25, deadline=None,
@@ -63,7 +68,7 @@ class TestPipelineProperties:
     @given(_specs(), st.integers(min_value=0, max_value=9999))
     def test_mediator_recovers_meetings(self, spec, seed):
         profile = GenericUniversity(spec)
-        bundle = build_source(profile, seed)
+        bundle = _bundle(profile, seed)
         mediator = Mediator({spec.slug: generic_mapping(profile)})
         courses = mediator.integrate_document(bundle.document)
         assert len(courses) == spec.course_count

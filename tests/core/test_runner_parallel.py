@@ -54,7 +54,7 @@ class TestResultReuse:
         cache.clear()
         run_all(_systems(), paper_testbed)
         gold_misses = sum(
-            1 for (task, _content) in cache._entries
+            1 for (task, _content) in cache.keys()
             if task.startswith("gold:"))
         assert gold_misses == len(QUERIES)
         # A second full run over the same testbed recomputes nothing.
@@ -66,7 +66,7 @@ class TestResultReuse:
         cache = shared_result_cache()
         cache.clear()
         run_benchmark(thalia_mediator(), paper_testbed)
-        integrations = [task for (task, _content) in cache._entries
+        integrations = [task for (task, _content) in cache.keys()
                         if task.startswith("integrate:")]
         # 12 queries × 2 sources = 24 integrations without reuse; the
         # paper set spans far fewer distinct sources.

@@ -10,12 +10,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalogs import (
-    build_source,
     build_testbed,
     extended_universities,
     paper_universities,
 )
 from repro.integration import is_null, standard_mediator
+
+
+def _bundle(profile, seed):
+    """One source built through the pipeline entry point."""
+    return build_testbed(seed, universities=[profile]).source(profile.slug)
 
 
 @pytest.fixture(scope="module")
@@ -117,5 +121,5 @@ class TestSeedSweepProperty:
            st.sampled_from([p.slug for p in extended_universities()]))
     def test_extraction_count_matches_canonical(self, seed, slug):
         from repro.catalogs import get_university
-        bundle = build_source(get_university(slug), seed)
+        bundle = _bundle(get_university(slug), seed)
         assert bundle.stats.records == len(bundle.courses)

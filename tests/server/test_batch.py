@@ -57,7 +57,7 @@ class TestSingleQueryCaching:
         # Same answer either way (the query only reads cmu), but the two
         # scopes are distinct cache entries with distinct fingerprints.
         assert scoped["items"] == full["items"]
-        assert app.results.stats()["size"] >= 2
+        assert app.results.stats()["entries"] >= 2
 
     def test_stats_exposes_result_cache(self, app):
         response = app.handle(Request(method="GET", path="/api/stats"))

@@ -362,11 +362,11 @@ class TestConcurrency:
     def test_warm_requests_hit_cache_without_rebuilding(self, base, server):
         for _ in range(3):
             assert fetch(base, "/api/queries")[0] == 200
-        builds_before = server.app.cache.stats()["builds"]
+        misses_before = server.app.cache.stats()["misses"]
         for _ in range(5):
             assert fetch(base, "/api/queries")[0] == 200
         stats = server.app.cache.stats()
-        assert stats["builds"] == builds_before    # warm GETs rebuild nothing
+        assert stats["misses"] == misses_before    # warm GETs rebuild nothing
         _, _, body = fetch(base, "/api/stats")
         payload = json.loads(body)
         assert payload["totals"]["cache_hits"] > 0

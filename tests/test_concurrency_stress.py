@@ -1,11 +1,13 @@
 """Threaded stress tests: every cache keeps one canonical entry when
-many threads race the same cold miss."""
+many threads race the same cold miss, and its counters stay exact when
+they insert past its bounds."""
 
 import threading
 
+from repro.cache import BoundedCache
 from repro.server.cache import ContentCache
 from repro.xquery import PlanCache
-from repro.xquery.results import ResultCache
+from repro.xquery.results import ResultCache, estimate_bytes
 
 THREADS = 16
 
@@ -71,32 +73,54 @@ class TestContentCacheRaces:
             ("group", "variant"), lambda: (b"payload", "text/plain")))
         canonical = {id(entry) for entry, _hit in entries}
         assert len(canonical) == 1
-        assert cache.builds >= 1
+        assert cache.misses >= 1
         assert len(cache) == 1
         assert cache.bytes == len(b"payload")
 
     def test_byte_counter_tracks_prune_under_threads(self):
+        # A newer revision replaces the entry under its key: the
+        # superseded variant's bytes leave the counter with it.
         cache = ContentCache()
 
         def worker(index):
-            variant = str(index % 4)
-            cache.get_or_build(("g", variant),
-                               lambda: (b"x" * (index % 4 + 1), "t"))
-            cache.prune_group("g", keep_variant="0")
+            revision = index % 4
+            cache.get_or_build(("g", "v"),
+                               lambda: (b"x" * (revision + 1), "t"),
+                               revision=revision)
 
         _race(worker)
-        cache.prune_group("g", keep_variant="0")
-        expected = sum(len(e.body) for e in cache._entries.values())
-        assert cache.bytes == expected
+        entry, _hit = cache.get_or_build(("g", "v"), lambda: (b"x", "t"),
+                                         revision=3)
+        assert len(cache) == 1
+        assert cache.bytes == len(entry.body) == 4
+        assert cache.bytes == sum(len(e.body) for e in cache.values())
 
     def test_stats_bytes_equals_actual_bytes(self):
         cache = ContentCache()
         for index in range(5):
-            cache.get_or_build(("g", str(index)),
-                               lambda: (b"y" * 10, "t"))
-        cache.prune_group("g", keep_variant="3")
+            cache.get_or_build(("g", "v"), lambda: (b"y" * 10, "t"),
+                               revision=index)
         assert cache.stats()["bytes"] == 10
         assert cache.stats()["entries"] == 1
+
+
+class TestBoundedCacheRaces:
+    def test_inserts_past_the_bound_keep_counters_exact(self):
+        cache = BoundedCache(8, max_bytes=64, sizeof=len)
+        peaks = []
+
+        def worker(index):
+            for round_ in range(20):
+                cache.lookup(f"{index}-{round_}",
+                             lambda: b"z" * (index % 5 + round_ % 3 + 1))
+                peaks.append(len(cache))
+
+        _race(worker)
+        stats = cache.stats()
+        assert max(peaks) <= 8
+        assert stats["entries"] <= 8 and stats["bytes"] <= 64
+        assert stats["evictions"] == THREADS * 20 - stats["entries"]
+        assert stats["bytes"] == sum(len(value) for value in cache.values())
 
 
 class TestResultCacheRaces:
@@ -130,5 +154,5 @@ class TestResultCacheRaces:
         assert all(value.startswith("TASK-") for value in values)
         assert len(cache) <= 4
         # The byte counter never drifts from the surviving entries.
-        expected = sum(entry.size for entry in cache._entries.values())
+        expected = sum(estimate_bytes(value) for value in cache.values())
         assert cache.bytes == expected

@@ -71,7 +71,7 @@ class TestEviction:
         for n in range(10):
             cache.get(str(n))
         assert len(cache) == 3
-        assert cache.stats()["size"] == 3
+        assert cache.stats()["entries"] == 3
 
     def test_maxsize_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -88,11 +88,11 @@ class TestShared:
         cache.get("1")
         cache.clear()
         stats = cache.stats()
-        assert (stats["size"], stats["hits"], stats["misses"]) == (0, 0, 0)
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (0, 0, 0)
 
     def test_entries_lists_plans_lru_order(self):
         cache = PlanCache()
         a = cache.get("1")
         b = cache.get("2")
         cache.get("1")
-        assert cache.entries() == [b, a]
+        assert cache.values() == [b, a]

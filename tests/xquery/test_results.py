@@ -66,7 +66,7 @@ class TestBasics:
         cache.get_or_compute("t", "c", lambda: "v")
         cache.get_or_compute("t", "c", lambda: "v")
         stats = cache.stats()
-        assert stats["size"] == 1 and stats["maxsize"] == 7
+        assert stats["entries"] == 1 and stats["maxsize"] == 7
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
         assert stats["bytes"] == estimate_bytes("v")
