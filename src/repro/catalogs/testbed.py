@@ -178,13 +178,12 @@ class Testbed:
         modified testbed addresses different cache entries and can never
         be served answers computed from the old content.
         """
-        chosen = tuple(sorted(self._sources)) if slugs is None \
-            else tuple(sorted(slugs))
-        memo_key = None if slugs is None else chosen
+        memo_key = None if slugs is None else tuple(sorted(slugs))
         with self._fingerprint_lock:
             cached = self._content_fingerprints.get(memo_key)
         if cached is not None:
             return cached
+        chosen = tuple(sorted(self._sources)) if slugs is None else memo_key
         # scale=1 fingerprints stay identical to historical ones so warm
         # result caches survive this feature; scaled testbeds address a
         # disjoint key space.

@@ -157,17 +157,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker threads answering requests "
                             "(default 8)")
     serve.add_argument("--query-workers", type=int, default=4, metavar="K",
-                       help="threads executing /api/query/batch items "
-                            "(default 4)")
+                       help="threads executing /api/query/batch items, "
+                            "which also bounds how many items of one "
+                            "batch wait on the fleet at once (default 4)")
     serve.add_argument("--perf-baseline", metavar="FILE", default=None,
                        help="perf snapshot linked from /api/stats "
                             "(default: $THALIA_PERF_BASELINE or "
                             "PERF_BASELINE.json)")
     serve.add_argument("--fleet", type=int, default=0, metavar="N",
-                       help="execute /api/query[/batch] on N worker "
-                            "processes sharing a cross-process result "
-                            "cache, with admission control (default 0: "
-                            "in-process execution)")
+                       help="execute /api/query[/batch] result-cache "
+                            "misses on N worker processes, with admission "
+                            "control (default 0: in-process execution)")
 
     bundle = commands.add_parser(
         "bundle", help="write the three download zips")

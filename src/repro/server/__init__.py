@@ -24,7 +24,13 @@ In-process quickstart::
 
 from .app import DEFAULT_SCORES_FILE, PooledHTTPServer, ThaliaApp, ThaliaServer
 from .cache import CacheEntry, ContentCache, make_etag
-from .fleet import FleetClosed, FleetError, FleetSaturated, WorkerFleet
+from .fleet import (
+    FleetClosed,
+    FleetError,
+    FleetQueryFailed,
+    FleetSaturated,
+    WorkerFleet,
+)
 from .handlers import build_router
 from .metrics import (
     EndpointStats,
@@ -33,7 +39,6 @@ from .metrics import (
     percentile,
 )
 from .router import Request, Response, Route, Router
-from .shared_cache import SharedResultCache, TieredResultCache
 from .store import HonorRollStore
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "EndpointStats",
     "FleetClosed",
     "FleetError",
+    "FleetQueryFailed",
     "FleetSaturated",
     "HonorRollStore",
     "LatencyReservoir",
@@ -52,10 +58,8 @@ __all__ = [
     "Route",
     "Router",
     "ServerMetrics",
-    "SharedResultCache",
     "ThaliaApp",
     "ThaliaServer",
-    "TieredResultCache",
     "WorkerFleet",
     "build_router",
     "make_etag",

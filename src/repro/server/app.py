@@ -73,9 +73,10 @@ class ThaliaApp:
                  fleet=None) -> None:
         self.testbed = testbed if testbed is not None else shared_testbed()
         # Optional multiprocess worker fleet (repro.server.fleet): when
-        # set, POST /api/query[/batch] executes on worker processes with
-        # admission control instead of in this process.  The app owns
-        # its lifecycle: close() drains and stops the workers.
+        # set, POST /api/query[/batch] result-cache misses execute on
+        # worker processes with admission control instead of in this
+        # process.  The app owns its lifecycle: close() drains and stops
+        # the workers.
         self.fleet = fleet
         self.store = store if store is not None \
             else HonorRollStore(scores_path)
@@ -92,11 +93,12 @@ class ThaliaApp:
         self.plans = PlanCache(maxsize=128)
         for query in QUERIES:
             self.plans.get(query.xquery)
-        # Query-result cache for POST /api/query[/batch]: keyed by
-        # (plan fingerprint, document-scope content fingerprint), with
-        # single-flight coalescing of identical in-flight queries.  The
-        # app keeps its own instance (not the process-wide one) so the
-        # counters in /api/stats reflect request traffic only.
+        # Query-result cache for POST /api/query[/batch], with or without
+        # a fleet: keyed by (query fingerprint, document-scope content
+        # fingerprint), with single-flight coalescing of identical
+        # in-flight queries.  The app keeps its own instance (not the
+        # process-wide one) so the counters in /api/stats reflect
+        # request traffic only.
         self.results = ResultCache(maxsize=256)
         self.query_workers = max(1, int(query_workers))
         self._query_pool: ThreadPoolExecutor | None = None
@@ -180,29 +182,34 @@ class ThaliaApp:
             self.testbed.documents,
             fingerprint=self.testbed.content_fingerprint())
 
-    def record_explain(self, plan, analyzed: bool) -> None:
-        """Count one ``/api/explain`` build and, for analyzed costed
-        plans, fold its per-operator q-errors into the stats window."""
-        from ..xquery import q_error
-
-        errors: list[float] = []
-        if analyzed and plan.costed:
-            data = plan.explain_data(analyze=True)
-
-            def walk(entry: dict) -> None:
-                estimated = entry.get("estimated", {})
-                actual = entry.get("actual")
-                est_rows = estimated.get("est_rows")
-                if est_rows is not None and actual is not None:
-                    errors.append(q_error(est_rows, actual["rows"]))
-                for child in entry.get("children", ()):
-                    walk(child)
-
-            walk(data["root"])
+    def record_explain(self, analyzed: bool) -> None:
+        """Count one answered ``/api/explain`` request, built or replayed."""
         with self._planner_lock:
             self._planner_counters["explains"] += 1
             if analyzed:
                 self._planner_counters["analyzed_explains"] += 1
+
+    def record_q_errors(self, plan) -> None:
+        """Fold the per-operator q-errors of *plan*'s analyzed run into
+        the stats window; a replayed explain carries no new run, so only
+        a build calls this."""
+        from ..xquery import q_error
+
+        if not plan.costed:
+            return
+        errors: list[float] = []
+
+        def walk(entry: dict) -> None:
+            estimated = entry.get("estimated", {})
+            actual = entry.get("actual")
+            est_rows = estimated.get("est_rows")
+            if est_rows is not None and actual is not None:
+                errors.append(q_error(est_rows, actual["rows"]))
+            for child in entry.get("children", ()):
+                walk(child)
+
+        walk(plan.explain_data(analyze=True)["root"])
+        with self._planner_lock:
             self._planner_q_errors.extend(errors)
 
     def planner_stats(self) -> dict:

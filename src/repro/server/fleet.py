@@ -2,40 +2,40 @@
 
 One Python process cannot push query execution past the GIL no matter
 how many threads the server pool holds.  ``thalia serve --fleet N``
-moves execution into N worker *processes*, each holding its own compiled
-plans and lazily-built ``DocumentIndex`` over the same testbed, while
-the HTTP frontend keeps doing what it is good at: routing, content
-caching, metrics.
+moves the execution of result-cache misses into N worker *processes*,
+each holding its own compiled plans and lazily-built ``DocumentIndex``
+over the same testbed, while the HTTP frontend keeps doing what it is
+good at: routing, the content and result caches, metrics.
 
 Design, end to end:
 
+* **One result cache, in the frontend.** The frontend answers a repeat
+  from its own :class:`~repro.xquery.results.ResultCache` without a
+  round trip, exactly as one process does, so ``cached`` matches
+  single-process serving by construction.  Only a miss reaches the
+  fleet: :meth:`WorkerFleet.run` hands the query to a worker, which
+  compiles and executes it through the same
+  :func:`~repro.server.handlers.execute_query` as one process and sends
+  back the value the frontend caches — or the exact error body, which
+  is never cached.
 * **Sharding.** Requests that name a source route to the worker keyed by
   ``sha256(scale, slug) % N`` — the same worker keeps answering the same
-  document, so its plan cache, document index and private result cache
-  stay hot.  Unsharded (all-document) requests go to the least-loaded
-  worker.  Under pressure a sharded request spills to the least-loaded
-  worker with capacity rather than queueing behind its home shard.
-* **Shared result cache.** All workers (and the frontend) map one
-  :class:`~repro.server.shared_cache.SharedResultCache`, keyed by the
-  exact ``(task fingerprint, content fingerprint)`` scheme of the
-  in-process :class:`~repro.xquery.results.ResultCache` — a result any
-  process computed is a byte-identical replay for every other process.
-  It is what keeps ``cached`` identical to single-process serving when
-  least-loaded placement sends a repeated query to a different worker.
+  document, so its plan cache and document index stay hot.  Unsharded
+  (all-document) requests go to the least-loaded worker.  Under pressure
+  a sharded request spills to the least-loaded worker with capacity
+  rather than queueing behind its home shard.
 * **Admission control.** Every worker has a bounded in-flight budget
   (``queue_depth``).  When no candidate worker has capacity the request
   is *shed* with :class:`FleetSaturated` — the handler answers ``429``
   with a ``Retry-After`` derived from observed latency — instead of
   queueing unboundedly and melting tail latency for everyone.
 * **Lifecycle.** A monitor/dispatcher thread detects dead workers,
-  re-dispatches their in-flight requests to healthy peers (zero failed
-  requests on a worker crash) and respawns them with a cold-start
-  counter.  ``close()`` drains: new work is refused, in-flight work
-  finishes, workers get a stop sentinel, stragglers are terminated.
-
-Workers execute requests through the *same* ``_run_one_query`` code path
-as single-process serving, so fleet responses are byte-identical to what
-one process would have answered.
+  re-dispatches their in-flight requests once to healthy peers (zero
+  failed requests on a worker crash) and respawns them with a
+  cold-start counter; a request whose second worker dies too fails with
+  500 instead of killing workers until it times out.  ``close()``
+  drains: new work is refused, in-flight work finishes, workers get a
+  stop sentinel, stragglers are terminated.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ import threading
 import time
 from multiprocessing.connection import wait as connection_wait
 
-from ..xquery import PlanCache
-from ..xquery.results import ResultCache
+from ..xquery import PlanCache, XQueryError
 from .metrics import LatencyReservoir
-from .shared_cache import SharedResultCache, TieredResultCache
 
 logger = logging.getLogger(__name__)
 
@@ -85,20 +83,15 @@ class FleetClosed(FleetError):
     """The fleet is draining or closed; no new work is admitted."""
 
 
-class _WorkerContext:
-    """What ``_run_one_query`` needs, fleet-worker flavored.
+class FleetQueryFailed(FleetError):
+    """A request answered with an error body instead of a value: the
+    worker's answer to a query that failed, or the fleet's own 500/503
+    when no worker could answer it."""
 
-    Mirrors the attribute surface of :class:`~repro.server.app.ThaliaApp`
-    that the query path touches — testbed, plan cache, result cache — so
-    the exact single-process handler code runs inside each worker.
-    """
-
-    def __init__(self, testbed, shared_cache: SharedResultCache | None)\
-            -> None:
-        self.testbed = testbed
-        self.plans = PlanCache(maxsize=128)
-        self.results = TieredResultCache(ResultCache(maxsize=256),
-                                         shared_cache)
+    def __init__(self, body: dict, status: int) -> None:
+        super().__init__(body["error"])
+        self.body = body
+        self.status = status
 
 
 def _process_meta(served: int) -> dict:
@@ -119,18 +112,17 @@ def _process_meta(served: int) -> dict:
 
 
 def _worker_main(index: int, seed: int, scale: int, inherited_testbed,
-                 task_conn, resp_conn, cache_path: str, cache_lock,
-                 gate) -> None:
+                 task_conn, resp_conn, gate) -> None:
     """One worker process: recv task → execute → send result, forever.
 
     ``inherited_testbed`` is the frontend's live object under the fork
     start method (free); under spawn it is ``None`` and the worker
-    rebuilds deterministically from ``(seed, scale)`` — PR 7 proved
-    builds byte-identical across processes, so fingerprints (and
-    therefore shared-cache keys) agree either way.
+    rebuilds deterministically from ``(seed, scale)`` — builds are
+    byte-identical across processes, so the worker answers over the
+    same content the frontend's cache keys name.
     """
     from ..catalogs import shared_testbed
-    from .handlers import _run_one_query, render_query_body
+    from .handlers import _scope, execute_query, query_error
 
     dump_dir = os.environ.get("THALIA_FLEET_DUMP_DIR")
     if dump_dir:
@@ -148,11 +140,7 @@ def _worker_main(index: int, seed: int, scale: int, inherited_testbed,
 
     testbed = inherited_testbed if inherited_testbed is not None \
         else shared_testbed(seed, scale=scale)
-    try:
-        shared = SharedResultCache.attach(cache_path, cache_lock)
-    except (OSError, ValueError):
-        shared = None                   # degrade to a private cache
-    context = _WorkerContext(testbed, shared)
+    plans = PlanCache(maxsize=128)
     served = 0
     resp_conn.send(("hello", index, os.getpid(), _process_meta(served)))
     while True:
@@ -180,19 +168,22 @@ def _worker_main(index: int, seed: int, scale: int, inherited_testbed,
             ready.release()
             go.acquire()
             go.release()            # pass the baton to the next waiter
-            body, status, rendered = {"gated": True}, 200, None
+            outcome = ("value", ((), {"gated": True}))
         else:
+            # The frontend validated the payload and its source.
             payload = message[2]
             try:
-                body, status = _run_one_query(context, payload)
-                rendered = render_query_body(body, status) \
-                    if message[3] else None
+                documents, _ = _scope(testbed, payload.get("source"))
+                outcome = ("value", execute_query(plans, documents,
+                                                  payload["xquery"]))
+            except XQueryError as exc:
+                outcome = ("error", *query_error(exc))
             except Exception as exc:   # pragma: no cover - defensive
-                body, status, rendered = \
-                    {"error": f"worker failure: {exc}"}, 500, None
+                outcome = ("error", {"error": f"worker failure: {exc}"},
+                           500)
         served += 1
         try:
-            resp_conn.send(("result", rid, status, body, rendered,
+            resp_conn.send(("result", rid, outcome,
                             _process_meta(served)))
         except (BrokenPipeError, OSError):
             break
@@ -202,23 +193,28 @@ class _Pending:
     """One request awaiting its worker's answer.
 
     It is resolved exactly once, by whoever pops ``rid`` from the
-    fleet's pending table: the answer, the timeout or the drain.
+    fleet's pending table: the answer, the timeout, the second worker
+    death or the drain.  ``outcome`` is ``("value", value)`` or
+    ``("error", body, status)``.
     """
 
-    __slots__ = ("event", "payload", "endpoint", "kind", "render", "rid",
-                 "result", "rendered", "started")
+    __slots__ = ("event", "payload", "endpoint", "kind", "rid", "outcome",
+                 "requeued", "started")
 
-    def __init__(self, payload, endpoint: str, kind: str, render: bool,
-                 rid: int) -> None:
+    def __init__(self, payload, endpoint: str, kind: str, rid: int) -> None:
         self.event = threading.Event()
         self.payload = payload
         self.endpoint = endpoint
         self.kind = kind
-        self.render = render
         self.rid = rid
-        self.result: tuple[dict, int] | None = None
-        self.rendered: bytes | None = None
+        self.outcome: tuple | None = None
+        self.requeued = False
         self.started = time.perf_counter()
+
+    def fail(self, error: str, status: int) -> None:
+        """Resolve with an error body (caller popped it from pending)."""
+        self.outcome = ("error", {"error": error}, status)
+        self.event.set()
 
 
 class _WorkerHandle:
@@ -247,7 +243,7 @@ class _WorkerHandle:
 
 
 class WorkerFleet:
-    """N worker processes, one dispatcher, shared cache, SLO counters."""
+    """N worker processes, one dispatcher, SLO counters."""
 
     def __init__(self, testbed, workers: int = 2, *,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
@@ -278,9 +274,6 @@ class WorkerFleet:
         self._latencies = LatencyReservoir(seed=1)
         self._endpoints: dict[str, dict] = {}
 
-        self._cache_lock = self._ctx.Lock()
-        self.shared_cache = SharedResultCache.create(self._cache_lock)
-
         self._workers = [_WorkerHandle(index) for index in range(self.size)]
         for handle in self._workers:
             self._spawn(handle, cold=False)
@@ -300,8 +293,7 @@ class WorkerFleet:
             target=_worker_main,
             name=f"thalia-fleet-{handle.index}",
             args=(handle.index, self.testbed.seed, self.testbed.scale,
-                  inherited, task_r, resp_w, self.shared_cache.path,
-                  self._cache_lock, self._gate),
+                  inherited, task_r, resp_w, self._gate),
             daemon=True)
         process.start()
         task_r.close()
@@ -346,8 +338,7 @@ class WorkerFleet:
             self._endpoints[endpoint] = stats
         return stats
 
-    def _admit(self, payload, endpoint: str, kind: str,
-               render: bool) -> _Pending:
+    def _admit(self, payload, endpoint: str, kind: str) -> _Pending:
         """Admission control + first dispatch.  Raises instead of queueing
         unboundedly."""
         with self._lock:
@@ -365,7 +356,7 @@ class WorkerFleet:
                 stats["shed"] += 1
                 raise FleetSaturated(self._retry_after_s())
             rid = next(self._rids)
-            entry = _Pending(payload, endpoint, kind, render, rid)
+            entry = _Pending(payload, endpoint, kind, rid)
             self._pending[rid] = entry
             target.outstanding.add(rid)
             self.counters["dispatched"] += 1
@@ -377,14 +368,14 @@ class WorkerFleet:
               rid: int) -> None:
         """Put one task on a worker's pipe (caller holds the lock)."""
         message = (entry.kind, rid) if entry.kind == "gate" \
-            else (entry.kind, rid, entry.payload, entry.render)
+            else (entry.kind, rid, entry.payload)
         try:
             handle.task_conn.send(message)
         except (BrokenPipeError, OSError):
             # Dead worker: the dispatcher will requeue via outstanding.
             pass
 
-    def _await(self, entry: _Pending) -> tuple[dict, int]:
+    def _await(self, entry: _Pending) -> tuple:
         """Wait for *entry* until its deadline, then record its latency.
 
         A request still unanswered at the deadline fails with 500; its
@@ -394,57 +385,31 @@ class WorkerFleet:
         if not entry.event.wait(max(0.0, deadline - time.perf_counter())):
             with self._lock:
                 if self._pending.pop(entry.rid, None) is not None:
-                    entry.result = ({"error": "fleet request timed out"},
-                                    500)
+                    entry.fail("fleet request timed out", 500)
                     self.counters["timeouts"] += 1
                     self.counters["failed"] += 1
         elapsed = time.perf_counter() - entry.started
         with self._lock:
             self._latencies.add(elapsed)
             self._endpoint_stats(entry.endpoint)["latencies"].add(elapsed)
-        return entry.result
+        return entry.outcome
 
-    def execute(self, payload, endpoint: str = "query", *,
-                render: bool = False) -> tuple[dict, int, bytes | None]:
-        """Run one query payload on the fleet: ``(body, status, rendered)``.
+    def run(self, payload: dict, endpoint: str = "query"):
+        """Compute one validated query payload on a worker and return
+        :func:`~repro.server.handlers.execute_query`'s value for it.
 
-        ``rendered`` is the worker-side JSON encoding of *body* (saves
-        the frontend re-serializing large result sets) when ``render``
-        was requested and the answer came from a worker.
-
-        Raises :class:`FleetSaturated` (shed; answer 429 + Retry-After)
-        or :class:`FleetClosed` (draining; answer 503).
+        Raises :class:`FleetQueryFailed` carrying the error body to
+        answer, :class:`FleetSaturated` (shed; answer 429 +
+        Retry-After) or :class:`FleetClosed` (draining; answer 503).
         """
         # The test gate exists only on fleets built with one; elsewhere
         # the key is just an unknown payload field.
         kind = "gate" if self._gate is not None \
-            and isinstance(payload, dict) \
             and payload.get("_fleet_test_gate") else "query"
-        entry = self._admit(payload, endpoint, kind, render)
-        body, status = self._await(entry)
-        return body, status, entry.rendered
-
-    def execute_many(self, payloads, endpoint: str = "batch")\
-            -> list[tuple[dict, int]]:
-        """Fan a batch out across the fleet; per-item status isolation.
-
-        Shed items become per-item 429 bodies (carrying ``retry_after``)
-        instead of sinking their batch-mates, mirroring the per-item
-        error isolation of the single-process batch path.
-        """
-        admitted: list[_Pending | tuple[dict, int]] = []
-        for payload in payloads:
-            try:
-                admitted.append(self._admit(payload, endpoint, "query",
-                                            False))
-            except FleetSaturated as exc:
-                admitted.append(({"error": "worker fleet saturated",
-                                  "retry_after": exc.retry_after_s}, 429))
-            except FleetClosed:
-                admitted.append(({"error": "service is shutting down"},
-                                 503))
-        return [self._await(item) if isinstance(item, _Pending) else item
-                for item in admitted]
+        outcome = self._await(self._admit(payload, endpoint, kind))
+        if outcome[0] == "error":
+            raise FleetQueryFailed(outcome[1], outcome[2])
+        return outcome[1]
 
     # -- dispatcher / monitor ---------------------------------------------- #
 
@@ -476,7 +441,7 @@ class WorkerFleet:
             with self._lock:
                 handle.meta = message[3]
             return
-        _kind, rid, status, body, rendered, meta = message
+        _kind, rid, outcome, meta = message
         with self._lock:
             handle.outstanding.discard(rid)
             handle.meta = meta
@@ -485,8 +450,7 @@ class WorkerFleet:
             # this late answer is dropped.
             entry = self._pending.pop(rid, None)
             if entry is not None:
-                entry.result = (body, status)
-                entry.rendered = rendered
+                entry.outcome = outcome
                 self.counters["completed"] += 1
                 entry.event.set()
             self._notify_if_drained()
@@ -498,7 +462,13 @@ class WorkerFleet:
             self._drained.notify_all()
 
     def _sweep_dead(self) -> None:
-        """Requeue a dead worker's in-flight work, then respawn it."""
+        """Requeue a dead worker's in-flight work, then respawn it.
+
+        Each request is requeued once.  When its second worker dies as
+        well, the request itself is the likely killer (say, a cross
+        product that runs out of memory), so it fails with 500 instead
+        of respawning workers until its timeout.
+        """
         with self._lock:
             if self._closing:
                 return
@@ -524,6 +494,13 @@ class WorkerFleet:
                     entry = self._pending.get(rid)
                     if entry is None:
                         continue
+                    if entry.requeued:
+                        del self._pending[rid]
+                        entry.fail("fleet worker died twice running this "
+                                   "request", 500)
+                        self.counters["failed"] += 1
+                        continue
+                    entry.requeued = True
                     # Re-dispatch to the least-loaded healthy worker.
                     # Capacity is allowed to overshoot here: finishing an
                     # already-admitted request beats strict budgets.
@@ -558,10 +535,8 @@ class WorkerFleet:
                 # Anything still pending after the drain window fails
                 # closed rather than hanging its caller.
                 for entry in self._pending.values():
-                    entry.result = ({"error": "service is shutting down"},
-                                    503)
+                    entry.fail("service is shutting down", 503)
                     self.counters["failed"] += 1
-                    entry.event.set()
                 self._pending.clear()
             self._closed = True
             workers = list(self._workers)
@@ -585,7 +560,6 @@ class WorkerFleet:
                         conn.close()
                 except OSError:
                     pass
-        self.shared_cache.close()
 
     def __enter__(self) -> "WorkerFleet":
         return self
@@ -630,7 +604,6 @@ class WorkerFleet:
             **counters,
             "slo": slo,
             "per_worker": per_worker,
-            "shared_cache": self.shared_cache.stats(),
         }
 
 
@@ -638,6 +611,7 @@ __all__ = [
     "DEFAULT_QUEUE_DEPTH",
     "FleetClosed",
     "FleetError",
+    "FleetQueryFailed",
     "FleetSaturated",
     "WorkerFleet",
 ]

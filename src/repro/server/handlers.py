@@ -42,7 +42,6 @@ POST     ``/api/scores``                     upload a score card (re-scored
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 from ..core import QUERIES, query_short_name, validate_claims
@@ -56,8 +55,14 @@ from ..website.bundles import (
     build_solutions_bundle,
 )
 from ..xmlmodel import XmlElement, serialize, serialize_pretty
-from ..xquery import DocumentResolver, XQueryError, XQuerySyntaxError
-from .fleet import FleetClosed, FleetSaturated
+from ..xquery import (
+    DocumentResolver,
+    PlanCache,
+    XQueryError,
+    XQuerySyntaxError,
+    query_fingerprint,
+)
+from .fleet import FleetClosed, FleetQueryFailed, FleetSaturated
 from .router import Request, Response, Router
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -309,32 +314,30 @@ def build_router() -> Router:
         if not isinstance(analyze, bool):
             return Response.of_json(
                 {"error": "'analyze' must be a boolean"}, status=400)
-        scope = _scope(app, payload.get("source"))
+        scope = _scope(app.testbed, payload.get("source"))
         if isinstance(scope, dict):
             return Response.of_json(scope, status=404)
         documents, content_fp = scope
-        try:
-            plan = app.plans.get(payload["xquery"],
-                                 statistics=app.statistics)
-        except XQuerySyntaxError as exc:
-            return Response.of_json(_syntax_error_body(exc), status=400)
 
         def build() -> tuple[bytes, str]:
             if analyze:
                 plan.execute(documents, analyze=True)
-            data = plan.explain_data(analyze=analyze)
-            app.record_explain(plan, analyzed=analyze)
+                app.record_q_errors(plan)
             return (Response.of_json({
-                "explain": data,
+                "explain": plan.explain_data(analyze=analyze),
                 "text": plan.explain(analyze=analyze),
             }).body, "application/json")
 
         try:
-            return app.cached_response(
+            plan = app.plans.get(payload["xquery"],
+                                 statistics=app.statistics)
+            response = app.cached_response(
                 ("explain", plan.identity, content_fp, analyze), build)
         except XQueryError as exc:
-            return Response.of_json(
-                {"error": f"{type(exc).__name__}: {exc}"}, status=400)
+            body, status = query_error(exc)
+            return Response.of_json(body, status=status)
+        app.record_explain(analyzed=analyze)
+        return response
 
     @router.post("/api/query", name="api_run_query")
     def api_run_query(app: "ThaliaApp", request: Request) -> Response:
@@ -342,32 +345,20 @@ def build_router() -> Router:
             payload = request.json()
         except ValueError as exc:
             return Response.of_json({"error": str(exc)}, status=400)
-        if app.fleet is not None:
-            try:
-                body, status, rendered = app.fleet.execute(
-                    payload, endpoint="query", render=True)
-            except FleetSaturated as exc:
-                return _shed_response(exc)
-            except FleetClosed:
-                return Response.of_json(
-                    {"error": "service is shutting down"}, status=503,
-                    no_store=True)
-            if rendered is not None:
-                # The worker already serialized the body with the exact
-                # encoder Response.of_json uses; serve its bytes as-is.
-                return Response(status=status, body=rendered,
-                                content_type="application/json",
+        body, status = _run_one_query(app, payload, "query")
+        # A shed answer tells the client when to come back.
+        headers = {"Retry-After": str(body["retry_after"])} \
+            if status == 429 else {}
+        return Response.of_json(body, status=status, headers=headers,
                                 no_store=True)
-            return Response.of_json(body, status=status, no_store=True)
-        body, status = _run_one_query(app, payload)
-        return Response.of_json(body, status=status, no_store=True)
 
     @router.post("/api/query/batch", name="api_run_query_batch")
     def api_run_query_batch(app: "ThaliaApp", request: Request) -> Response:
         """Execute several queries in one request, concurrently.
 
         Body: ``{"queries": [{"xquery": ..., "source": ...?}, ...]}``.
-        Items fan out over the app's query pool (``--query-workers``);
+        Items fan out over the app's query pool (``--query-workers``),
+        which also bounds how many of them wait on the fleet at once;
         identical items — in this batch or racing with other requests —
         coalesce to one execution via the result cache.  Results come
         back in input order; each carries its own ``status`` so one bad
@@ -390,18 +381,11 @@ def build_router() -> Router:
             return Response.of_json(
                 {"error": f"'queries' exceeds the batch limit of "
                           f"{MAX_BATCH_QUERIES}"}, status=400)
-        if app.fleet is not None:
-            try:
-                outcomes = app.fleet.execute_many(queries)
-            except FleetClosed:
-                return Response.of_json(
-                    {"error": "service is shutting down"}, status=503,
-                    no_store=True)
-        elif len(queries) > 1:
+        if len(queries) > 1:
             outcomes = list(app.query_pool.map(
-                lambda item: _run_one_query(app, item), queries))
+                lambda item: _run_one_query(app, item, "batch"), queries))
         else:
-            outcomes = [_run_one_query(app, queries[0])]
+            outcomes = [_run_one_query(app, queries[0], "batch")]
         results = []
         for body, status in outcomes:
             body["status"] = status
@@ -492,94 +476,92 @@ def build_router() -> Router:
     return router
 
 
-def _shed_response(exc: FleetSaturated) -> Response:
-    """429 with ``Retry-After``: the admission-control shed answer."""
-    return Response.of_json(
-        {"error": "worker fleet saturated",
-         "retry_after": exc.retry_after_s},
-        status=429,
-        headers={"Retry-After": str(exc.retry_after_s)},
-        no_store=True)
-
-
-def render_query_body(body: dict, status: int) -> bytes:
-    """Exactly the bytes :meth:`Response.of_json` would emit for *body*.
-
-    Fleet workers pre-render their answers with this so the frontend can
-    write them through unchanged — byte-identical to single-process
-    serving by construction, and serialized on the worker's core rather
-    than the frontend's.
-    """
-    del status  # the JSON body does not depend on it
-    return json.dumps(body, indent=2, sort_keys=True).encode("utf-8")
-
-
-def _scope(app: "ThaliaApp",
-           slug: object) -> tuple[DocumentResolver, str] | dict:
-    """The documents a query body's ``source`` names, as ``(doc()
-    resolver, content fingerprint)``: the one source, or the whole
-    testbed when *slug* is ``None``.  An unknown source yields its 404
-    body instead."""
+def _scope(testbed, slug: object) -> tuple[DocumentResolver, str] | dict:
+    """The documents of *testbed* a query body's ``source`` names, as
+    ``(doc() resolver, content fingerprint)``: the one source, or the
+    whole testbed when *slug* is ``None``.  An unknown source yields its
+    404 body instead."""
     if slug is None:
-        return (app.testbed.document_resolver(),
-                app.testbed.content_fingerprint())
-    if slug not in app.testbed:
+        return testbed.document_resolver(), testbed.content_fingerprint()
+    if slug not in testbed:
         return {"error": f"no such source: {slug}"}
-    return (DocumentResolver({slug: app.testbed.source(slug).document}),
-            app.testbed.content_fingerprint([slug]))
+    return (DocumentResolver({slug: testbed.source(slug).document}),
+            testbed.content_fingerprint([slug]))
 
 
-def _syntax_error_body(exc: XQuerySyntaxError) -> dict:
-    """The 400 body of a query that does not parse, located by line and
-    column when the parser knows them."""
-    detail: dict = {"error": f"XQuerySyntaxError: {exc}"}
-    if exc.line is not None:
-        detail["line"] = exc.line
-        detail["column"] = exc.column
-        detail["context"] = exc.context()
-    return detail
+def query_error(exc: XQueryError) -> tuple[dict, int]:
+    """The 400 answer of a query that fails to parse or to run; a parse
+    error is located by line and column when the parser knows them."""
+    body: dict = {"error": f"{type(exc).__name__}: {exc}"}
+    if isinstance(exc, XQuerySyntaxError) and exc.line is not None:
+        body.update(line=exc.line, column=exc.column,
+                    context=exc.context())
+    return body, 400
 
 
-def _run_one_query(app: "ThaliaApp", payload: object) -> tuple[dict, int]:
-    """Validate and execute one query item; ``(body, http status)``.
+def execute_query(plans: PlanCache, documents: DocumentResolver,
+                  text: str) -> tuple[tuple, dict]:
+    """Compile *text* through *plans*, run it over *documents* and
+    serialize its items: the value the result cache holds for it, as
+    ``(items, plan info)``.  Raises :class:`XQueryError`.
 
-    Shared by ``/api/query`` and ``/api/query/batch``.  Execution goes
-    through the app's :class:`~repro.xquery.results.ResultCache`, keyed
-    by the compiled plan's fingerprint and the content fingerprint of
-    the requested document scope — a repeated query is a dict probe, N
-    identical concurrent queries execute once (the rest coalesce), and a
-    testbed with different content can never be answered from this one's
-    entries.
+    It runs in the process that answers a query: the frontend when it
+    serves alone, a worker when a fleet computes its misses.
+    """
+    plan = plans.get(text)
+    items = plan.execute(documents)
+    rendered = tuple(serialize(item) if isinstance(item, XmlElement)
+                     else item for item in items)
+    stats = plan.last_stats
+    return rendered, {
+        "exec_ns": stats.exec_ns,
+        "nodes_visited": stats.nodes_visited,
+        "index_lookups": stats.index_lookups,
+    }
+
+
+def _run_one_query(app: "ThaliaApp", payload: object,
+                   endpoint: str) -> tuple[dict, int]:
+    """Validate and answer one query item; ``(body, http status)``.
+
+    Shared by ``/api/query`` and ``/api/query/batch`` (*endpoint* names
+    which, for the fleet's SLO table).  Answers come from the app's
+    :class:`~repro.xquery.results.ResultCache`, keyed by the query's
+    :func:`~repro.xquery.plan.query_fingerprint` and the content
+    fingerprint of the requested document scope — a repeated query is a
+    dict probe, N identical concurrent queries compute once (the rest
+    coalesce), and a testbed with different content can never be
+    answered from this one's entries.  A miss runs
+    :func:`execute_query` here, or on a fleet worker when the app has
+    one; errors are never cached.
     """
     if not isinstance(payload, dict) or \
             not isinstance(payload.get("xquery"), str):
         return {"error": "body must be a JSON object with an 'xquery' "
                          "string"}, 400
-    scope = _scope(app, payload.get("source"))
+    text = payload["xquery"]
+    scope = _scope(app.testbed, payload.get("source"))
     if isinstance(scope, dict):
         return scope, 404
     documents, content_fp = scope
-    try:
-        plan = app.plans.get(payload["xquery"])
-    except XQuerySyntaxError as exc:
-        return _syntax_error_body(exc), 400
-
-    def compute() -> tuple[tuple, dict]:
-        items = plan.execute(documents)
-        rendered = tuple(serialize(item) if isinstance(item, XmlElement)
-                         else item for item in items)
-        stats = plan.last_stats
-        return rendered, {
-            "exec_ns": stats.exec_ns,
-            "nodes_visited": stats.nodes_visited,
-            "index_lookups": stats.index_lookups,
-        }
-
+    if app.fleet is not None:
+        def compute() -> tuple[tuple, dict]:
+            return app.fleet.run(payload, endpoint)
+    else:
+        def compute() -> tuple[tuple, dict]:
+            return execute_query(app.plans, documents, text)
     try:
         (rendered, plan_info), cache_status = app.results.fetch(
-            plan.fingerprint, content_fp, compute)
+            query_fingerprint(text), content_fp, compute)
     except XQueryError as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}, 400
+        return query_error(exc)
+    except FleetQueryFailed as exc:
+        return dict(exc.body), exc.status
+    except FleetSaturated as exc:
+        return {"error": "worker fleet saturated",
+                "retry_after": exc.retry_after_s}, 429
+    except FleetClosed:
+        return {"error": "service is shutting down"}, 503
     return {
         "count": len(rendered),
         "items": list(rendered),

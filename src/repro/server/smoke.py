@@ -8,11 +8,13 @@ malformed upload (400), honor-roll ordering, cache hit-rate visibility,
 and a graceful SIGINT shutdown.  The server is then rebooted on the same
 score store to prove uploads survive restarts.
 
-A final leg reboots the service with ``--fleet 2`` and asserts the
-``fleet`` block of ``/api/stats`` publishes the admission and
-lifecycle counters (``shed``, ``respawns``, ``requeued``, ``timeouts``,
-``failed``) with the right types, that fleet answers match single-process bytes, and that the
-fleet drains cleanly on SIGINT.
+A final leg reboots the service with ``--fleet 2`` and asserts that a
+fleet answer matches the single-process bytes, that a repeat answers
+``cached: true`` from the frontend without reaching a worker (the
+``fleet`` block's ``dispatched`` does not move), that the block
+publishes the admission and lifecycle counters (``shed``, ``respawns``,
+``requeued``, ``timeouts``, ``failed``) with the right types, and that
+the fleet drains cleanly on SIGINT.
 
 Run it locally with::
 
@@ -53,6 +55,10 @@ def _request(url: str, data: bytes | None = None,
             return resp.status, dict(resp.headers), resp.read()
     except urllib.error.HTTPError as exc:
         return exc.code, dict(exc.headers), exc.read()
+
+
+CMU_QUERY = {"xquery": 'FOR $c IN doc("cmu.xml")/cmu/Course RETURN $c',
+             "source": "cmu"}
 
 
 def _post_json(url: str, payload: dict) -> tuple[int, dict, bytes]:
@@ -112,6 +118,19 @@ def _stop(process: subprocess.Popen) -> None:
             f"server exited with code {process.returncode} on SIGINT")
 
 
+def _scrubbed(body: bytes) -> dict:
+    """A query answer without ``plan.exec_ns``, the one wall-clock field
+    (each computing process measures its own run)."""
+    answer = json.loads(body)
+    answer.get("plan", {}).pop("exec_ns", None)
+    return answer
+
+
+def _fleet_stats(base: str) -> dict:
+    _, _, body = _request(f"{base}/api/stats")
+    return json.loads(body).get("fleet", {})
+
+
 def check(condition: bool, label: str) -> None:
     marker = "ok" if condition else "FAIL"
     print(f"  [{marker}] {label}")
@@ -153,10 +172,8 @@ def main() -> int:
         check(status == 200 and len(json.loads(body)) == 12,
               "GET /api/queries lists all twelve queries")
 
-        status, _, body = _post_json(f"{base}/api/query", {
-            "xquery": 'FOR $c IN doc("cmu.xml")/cmu/Course RETURN $c',
-            "source": "cmu"})
-        check(status == 200 and json.loads(body)["count"] >= 1,
+        status, _, single_body = _post_json(f"{base}/api/query", CMU_QUERY)
+        check(status == 200 and json.loads(single_body)["count"] >= 1,
               "POST /api/query runs an XQuery")
 
         status, _, body = _post_json(f"{base}/api/scores", {
@@ -216,15 +233,21 @@ def main() -> int:
     print("  [ok] graceful shutdown on SIGINT")
 
     print("rebooting with a 2-worker fleet ...")
-    query = {"xquery": 'FOR $c IN doc("cmu.xml")/cmu/Course RETURN $c',
-             "source": "cmu"}
     process = _boot(port, scores, extra_args=["--fleet", "2"])
     try:
-        status, _, fleet_body = _post_json(f"{base}/api/query", query)
-        check(status == 200 and json.loads(fleet_body)["count"] >= 1,
-              "POST /api/query executes on the fleet")
-        status, _, body = _request(f"{base}/api/stats")
-        fleet = json.loads(body).get("fleet", {})
+        status, _, fleet_body = _post_json(f"{base}/api/query", CMU_QUERY)
+        check(status == 200
+              and _scrubbed(fleet_body) == _scrubbed(single_body),
+              "POST /api/query on the fleet answers single-process bytes")
+        dispatched = _fleet_stats(base).get("dispatched")
+        status, _, body = _post_json(f"{base}/api/query", CMU_QUERY)
+        check(status == 200 and json.loads(body)["cached"] is True,
+              "a repeated POST /api/query on the fleet answers cached")
+        fleet = _fleet_stats(base)
+        check(isinstance(dispatched, int)
+              and fleet.get("dispatched") == dispatched,
+              "the repeat is answered without a worker (dispatched "
+              "unchanged)")
         check(fleet.get("enabled") is True and fleet.get("workers") == 2,
               "/api/stats fleet block reports 2 workers")
         for counter in ("shed", "respawns", "requeued", "timeouts",
@@ -235,9 +258,6 @@ def main() -> int:
               and all(isinstance(row.get("latency_ms"), dict)
                       for row in fleet["slo"].values()),
               "fleet SLO table publishes per-endpoint latency quantiles")
-        check(isinstance(fleet.get("shared_cache"), dict)
-              and fleet["shared_cache"].get("stores", 0) >= 0,
-              "fleet shared-cache counters present")
         check(len(fleet.get("per_worker", [])) == 2
               and all(isinstance(row.get("rss_kb"), int)
                       for row in fleet["per_worker"]),

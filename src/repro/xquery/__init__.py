@@ -46,7 +46,7 @@ from .evaluator import like_cache_stats
 from .functions import FunctionRegistry, XQueryFunction, builtin_registry
 from .lexer import tokenize
 from .cost import q_error
-from .plan import Plan, PlanStats, compile_query
+from .plan import Plan, PlanStats, compile_query, query_fingerprint
 from .plan_cache import PlanCache, shared_plan_cache
 from .results import ResultCache, shared_result_cache
 from .stats import (
@@ -137,6 +137,7 @@ __all__ = [
     "effective_boolean_value",
     "like_cache_stats",
     "q_error",
+    "query_fingerprint",
     "run_query",
     "shared_plan_cache",
     "statistics_cache_stats",

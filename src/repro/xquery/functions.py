@@ -39,6 +39,7 @@ class FunctionRegistry:
     def __init__(self) -> None:
         self._functions: dict[str, tuple[XQueryFunction, object]] = {}
         self._fingerprint: tuple | None = None
+        self._fingerprint_bytes: bytes | None = None
         self._stable_fingerprint: tuple | None = None
 
     def register(self, name: str, fn: XQueryFunction,
@@ -46,12 +47,14 @@ class FunctionRegistry:
         """Register *fn* under *name* (and without its namespace prefix)."""
         self._functions[name] = (fn, arity)
         self._fingerprint = None
+        self._fingerprint_bytes = None
         self._stable_fingerprint = None
 
     def copy(self) -> "FunctionRegistry":
         dup = FunctionRegistry()
         dup._functions = dict(self._functions)
         dup._fingerprint = self._fingerprint
+        dup._fingerprint_bytes = self._fingerprint_bytes
         dup._stable_fingerprint = self._stable_fingerprint
         return dup
 
@@ -73,6 +76,14 @@ class FunctionRegistry:
                 (name, id(fn))
                 for name, (fn, _arity) in self._functions.items()))
         return self._fingerprint
+
+    def fingerprint_bytes(self) -> bytes:
+        """The UTF-8 ``repr`` of :meth:`fingerprint`, the text a query
+        fingerprint hashes; memoized, because building it costs tens of
+        microseconds and every served query hashes it."""
+        if self._fingerprint_bytes is None:
+            self._fingerprint_bytes = repr(self.fingerprint()).encode("utf-8")
+        return self._fingerprint_bytes
 
     def stable_fingerprint(self) -> tuple:
         """Like :meth:`fingerprint`, but reproducible across processes.

@@ -2438,15 +2438,12 @@ class Plan:
         a function implementation changes the fingerprint and with it the
         cache key.  Costed plans share the rule-based plan's fingerprint
         on purpose: costed choices are answer-preserving, so their cached
-        results are interchangeable.  Memoized — the registry fingerprint
-        is itself memoized and a plan's registry never changes after
-        compilation.
+        results are interchangeable.  Equal to :func:`query_fingerprint`
+        of the plan's source and registry; memoized, since a plan's
+        registry never changes after compilation.
         """
         if self._fingerprint is None:
-            digest = hashlib.sha256(self.source.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(repr(self.functions.fingerprint()).encode("utf-8"))
-            self._fingerprint = digest.hexdigest()
+            self._fingerprint = query_fingerprint(self.source, self.functions)
         return self._fingerprint
 
     @property
@@ -2646,6 +2643,21 @@ class Plan:
         return f"Plan({summary!r}, runs={self.runs})"
 
 
+def query_fingerprint(source: str,
+                      functions: FunctionRegistry | None = None) -> str:
+    """The result-cache identity of running *source* against *functions*
+    (default: the builtins), without compiling it: sha256 over the
+    source and the registry's memoized fingerprint text.  It is what
+    :attr:`Plan.fingerprint` returns for a plan compiled from the same
+    pair, so a served query can probe the result cache before it pays
+    for a plan."""
+    registry = functions if functions is not None else default_registry()
+    digest = hashlib.sha256(source.encode("utf-8"))
+    digest.update(b"\x00")
+    digest.update(registry.fingerprint_bytes())
+    return digest.hexdigest()
+
+
 def compile_query(source: str,
                   functions: FunctionRegistry | None = None, *,
                   perturb: bool = False,
@@ -2707,4 +2719,5 @@ __all__ = [
     "Plan",
     "PlanStats",
     "compile_query",
+    "query_fingerprint",
 ]

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import QUERIES
 from repro.server import HonorRollStore, ThaliaApp, ThaliaServer
+from repro.server.router import Request
 
 
 def fetch(base, path, data=None, headers=None, method=None):
@@ -135,3 +136,27 @@ class TestPlannerStats:
         assert errors is not None
         assert errors["count"] >= 1
         assert errors["p50"] <= errors["p95"] <= errors["max"]
+
+    def test_counters_count_requests_not_builds(self, paper_testbed,
+                                                tmp_path):
+        """Replays from the content cache count as explains too; only
+        the q-error window is fed by builds alone."""
+        app = ThaliaApp(testbed=paper_testbed,
+                        scores_path=tmp_path / "roll.jsonl")
+
+        def explain(analyze: bool) -> None:
+            response = app.handle(Request(
+                method="POST", path="/api/explain", headers={},
+                body=json.dumps({"xquery": QUERIES[2].xquery,
+                                 "analyze": analyze}).encode("utf-8")))
+            assert response.status == 200
+
+        for analyze in (False, False, False, True, True):
+            explain(analyze)
+        planner = app.planner_stats()
+        assert planner["explains"] == 5
+        assert planner["analyzed_explains"] == 2
+        built = planner["estimate_errors"]["count"]
+        explain(True)                  # a replay: no new run to fold
+        assert app.planner_stats()["estimate_errors"]["count"] == built
+        app.close()

@@ -1,5 +1,8 @@
 """The multiprocess worker fleet: routing, caching, admission, lifecycle.
 
+Execution tests compare a ``--fleet 2`` :class:`ThaliaApp` with a
+single-process one through :meth:`ThaliaApp.handle`, the served path.
+
 Synchronization is event-based throughout, following
 ``tests/test_concurrency_stress.py``: workers park on a cross-process
 ``(ready, go)`` gate, so a test *proves* a task reached a worker by
@@ -7,6 +10,7 @@ acquiring ``ready`` — no sleeps, no wall-clock thresholds.  On a loaded
 box the tests just take longer; they cannot spuriously break.
 """
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -18,20 +22,39 @@ import pytest
 from repro.core import QUERIES
 from repro.server import (
     FleetClosed,
+    FleetQueryFailed,
     FleetSaturated,
     ThaliaApp,
     WorkerFleet,
 )
-from repro.server.handlers import _run_one_query, render_query_body
 from repro.server.router import Request
 
 _METHODS = multiprocessing.get_all_start_methods()
 CTX = multiprocessing.get_context("fork" if "fork" in _METHODS else "spawn")
 
-GATED = {"_fleet_test_gate": True}
-
 CMU_QUERY = {"xquery": 'FOR $c IN doc("cmu.xml")/cmu/Course RETURN $c',
              "source": "cmu"}
+
+#: Every kind of answer a query item can get, good and bad.
+MIXED = [
+    {"xquery": QUERIES[0].xquery},
+    CMU_QUERY,
+    {"xquery": "FOR $x IN ("},                          # syntax error
+    {"xquery": QUERIES[0].xquery, "source": "nope"},    # unknown source
+    {"not_xquery": True},                               # bad body
+    ["not", "an", "object"],                            # bad body
+    {"xquery": 'FOR $v IN doc("eth.xml")/eth/Vorlesung '
+               "WHERE $v/Umfang > 10 RETURN $v"},       # runtime type error
+]
+
+_gate_ids = itertools.count()
+
+
+def gated() -> dict:
+    """A payload that parks in a gated fleet's worker.  Its ``xquery``
+    is distinct per call, because identical queries coalesce in the
+    frontend's result cache and would reach the fleet once."""
+    return {"xquery": f"gated {next(_gate_ids)}", "_fleet_test_gate": True}
 
 
 def _gate():
@@ -46,136 +69,127 @@ def _gate():
     return CTX.Semaphore(0), CTX.Semaphore(0)
 
 
+def _post(app: ThaliaApp, path: str, payload) -> tuple[int, str]:
+    response = app.handle(Request(
+        method="POST", path=path,
+        headers={"content-type": "application/json"},
+        body=json.dumps(payload).encode("utf-8")))
+    return response.status, _normalized(response.body)
+
+
 def _normalized(body_bytes: bytes) -> str:
     """Canonical JSON with the volatile wall-clock field removed.
 
     ``plan.exec_ns`` is the one legitimately nondeterministic field in a
     query response (each *computing* process measures its own run);
-    everything else must match byte-for-byte.
+    everything else, ``cached`` included, must match byte-for-byte.
     """
     payload = json.loads(body_bytes)
-    payload.get("plan", {}).pop("exec_ns", None)
+    answers = payload.get("results", [payload]) \
+        if isinstance(payload, dict) else []
+    for answer in answers:
+        answer.get("plan", {}).pop("exec_ns", None)
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+@pytest.fixture
+def apps(testbed, tmp_path):
+    """A single-process app and a ``--fleet 2`` app over one testbed."""
+    single = ThaliaApp(testbed=testbed,
+                       scores_path=tmp_path / "single.jsonl")
+    served = ThaliaApp(testbed=testbed,
+                       scores_path=tmp_path / "fleet.jsonl",
+                       fleet=WorkerFleet(testbed, workers=2))
+    yield single, served
+    served.close()
+    single.close()
+
+
 class TestFleetExecution:
-    def test_responses_byte_identical_to_single_process(self, testbed):
-        single = ThaliaApp(testbed=testbed)
-        payloads = [{"xquery": QUERIES[0].xquery},
-                    {"xquery": 'FOR $c IN doc("cmu.xml")/cmu/Course '
-                               'RETURN $c', "source": "cmu"}]
-        with WorkerFleet(testbed, workers=2) as fleet:
-            for payload in payloads:
-                # Cold and warm responses: the cache progression
-                # (cached: false, then true) must match single-process
-                # serving exactly, not just the result items.
-                for _round in range(2):
-                    body, status, rendered = fleet.execute(
-                        payload, render=True)
-                    expected_body, expected_status = _run_one_query(
-                        single, payload)
-                    expected = render_query_body(expected_body,
-                                                 expected_status)
-                    assert status == expected_status == 200
-                    assert _normalized(rendered) == _normalized(expected)
-        single.close()
+    def test_responses_byte_identical_to_single_process(self, apps):
+        single, served = apps
+        for payload in ({"xquery": QUERIES[0].xquery}, CMU_QUERY):
+            # Cold and warm responses: the cache progression (cached:
+            # false, then true) must match single-process serving, not
+            # just the result items.
+            for _round in range(2):
+                expected = _post(single, "/api/query", payload)
+                assert expected[0] == 200
+                assert _post(served, "/api/query", payload) == expected
 
-    def test_errors_and_batches_match_single_process(self, testbed):
-        single = ThaliaApp(testbed=testbed)
-        bad = [{"xquery": "FOR $x IN ("},            # syntax error
-               {"xquery": QUERIES[0].xquery, "source": "nope"},
-               {"not_xquery": True}]
-        with WorkerFleet(testbed, workers=2) as fleet:
-            outcomes = fleet.execute_many(
-                bad + [{"xquery": QUERIES[2].xquery}])
-            expected = [_run_one_query(single, payload)
-                        for payload in bad + [{"xquery": QUERIES[2].xquery}]]
-            assert [status for _, status in outcomes] \
-                == [status for _, status in expected] == [400, 404, 400, 200]
-            assert outcomes[-1][0]["items"] == expected[-1][0]["items"]
-        single.close()
+    def test_errors_and_batches_match_single_process(self, apps):
+        single, served = apps
+        for _round in range(2):
+            for payload in MIXED:
+                assert _post(served, "/api/query", payload) \
+                    == _post(single, "/api/query", payload)
+            batch = {"queries": MIXED}
+            expected = _post(single, "/api/query/batch", batch)
+            assert _post(served, "/api/query/batch", batch) == expected
+        statuses = [answer["status"]
+                    for answer in json.loads(expected[1])["results"]]
+        assert statuses == [200, 200, 400, 404, 400, 400, 400]
+        assert served.fleet.stats()["failed"] == 0
 
-    def test_twelve_singly_then_batched_match_single_process(
-            self, testbed):
-        """Every body, ``cached`` included, matches one process.
-
-        The batch spreads the twelve over both workers by load, so a
-        repeat often lands on a worker that never ran it; only the
-        shared result tier lets that worker answer ``cached: true``.
-        """
-        single = ThaliaApp(testbed=testbed)
+    def test_twelve_singly_then_batched_match_single_process(self, apps):
+        """Every body, ``cached`` included, matches one process, with
+        the batch's repeats answered by the frontend."""
+        single, served = apps
         payloads = [{"xquery": query.xquery} for query in QUERIES]
+        for payload in payloads:
+            assert _post(served, "/api/query", payload) \
+                == _post(single, "/api/query", payload)
+        batch = {"queries": payloads}
+        assert _post(served, "/api/query/batch", batch) \
+            == _post(single, "/api/query/batch", batch)
 
-        def rendered(outcome) -> str:
-            return _normalized(render_query_body(*outcome))
+    def test_repeats_never_reach_a_worker(self, apps):
+        _single, served = apps
+        for _round in range(2):
+            for query in QUERIES:
+                status, body = _post(served, "/api/query",
+                                     {"xquery": query.xquery})
+                assert status == 200
+                assert json.loads(body)["cached"] is (_round == 1)
+        assert served.fleet.stats()["dispatched"] == 12
+        assert served.results.stats()["hits"] == 12
 
-        with WorkerFleet(testbed, workers=2) as fleet:
-            for payload in payloads:
-                body, status, _ = fleet.execute(payload)
-                assert rendered((body, status)) \
-                    == rendered(_run_one_query(single, payload))
-            outcomes = fleet.execute_many(payloads)
-            assert [rendered(outcome) for outcome in outcomes] \
-                == [rendered(_run_one_query(single, payload))
-                    for payload in payloads]
-        single.close()
-
-    def test_test_gate_key_is_inert_without_a_gate(self, testbed,
-                                                   tmp_path):
+    def test_test_gate_key_is_inert_without_a_gate(self, apps):
         """``_fleet_test_gate`` in a client payload is just an unknown
         field: a fleet built without ``_gate`` answers the query."""
-        payload = {"xquery": CMU_QUERY["xquery"], **GATED}
-
-        def post(app) -> tuple[int, str]:
-            response = app.handle(Request(
-                method="POST", path="/api/query",
-                headers={"content-type": "application/json"},
-                body=json.dumps(payload).encode("utf-8")))
-            return response.status, _normalized(response.body)
-
-        single = ThaliaApp(testbed=testbed,
-                           scores_path=tmp_path / "single.jsonl")
-        served = ThaliaApp(testbed=testbed,
-                           scores_path=tmp_path / "fleet.jsonl",
-                           fleet=WorkerFleet(testbed, workers=2))
-        try:
-            expected = post(single)
-            assert expected[0] == 200
-            assert post(served) == expected
-        finally:
-            served.close()
-            single.close()
+        single, served = apps
+        payload = {**CMU_QUERY, "_fleet_test_gate": True}
+        expected = _post(single, "/api/query", payload)
+        assert expected[0] == 200
+        assert _post(served, "/api/query", payload) == expected
 
     def test_sharded_requests_stick_to_one_worker(self, testbed):
         with WorkerFleet(testbed, workers=2) as fleet:
-            payload = dict(CMU_QUERY)
-            for _ in range(3):
-                _body, status, _ = fleet.execute(payload)
-                assert status == 200
+            # Three distinct queries: the fleet itself caches nothing.
+            for step in ("", "/CourseTitle", "/Units"):
+                items, _plan = fleet.run({
+                    "xquery": f"{CMU_QUERY['xquery']}{step}",
+                    "source": "cmu"})
+                assert items
             served = sorted(row["served"]
                             for row in fleet.stats()["per_worker"])
             assert served == [0, 3]
             home = fleet._shard("cmu")
             assert fleet._workers[home].served == 3
 
-    def test_shared_cache_hit_across_workers(self, testbed):
-        """A respawned (cold) worker replays its dead predecessor's work
-        from the shared tier instead of recomputing."""
-        with WorkerFleet(testbed, workers=2) as fleet:
-            payload = dict(CMU_QUERY)
-            body, status, _ = fleet.execute(payload)
-            assert status == 200 and body["cached"] is False
-            assert fleet.shared_cache.stats()["stores"] >= 1
-            home = fleet._workers[fleet._shard("cmu")]
-            os.kill(home.pid, signal.SIGKILL)
-            # Whoever answers next — the respawned home worker or a
-            # peer after a requeue — has a cold local cache and must
-            # come back through the shared arena.
-            body, status, _ = fleet.execute(payload)
-            assert status == 200
-            assert body["cached"] is True
-            assert fleet.shared_cache.stats()["hits"] >= 1
-            assert fleet.counters["failed"] == 0
+    def test_repeat_after_home_worker_dies_is_a_frontend_hit(self, apps):
+        """The frontend holds the one result cache, so a worker's death
+        loses no cached answer: the repeat never reaches the fleet."""
+        _single, served = apps
+        fleet = served.fleet
+        status, body = _post(served, "/api/query", CMU_QUERY)
+        assert status == 200 and json.loads(body)["cached"] is False
+        dispatched = fleet.stats()["dispatched"]
+        os.kill(fleet._workers[fleet._shard("cmu")].pid, signal.SIGKILL)
+        status, body = _post(served, "/api/query", CMU_QUERY)
+        assert status == 200 and json.loads(body)["cached"] is True
+        assert fleet.stats()["dispatched"] == dispatched
+        assert fleet.counters["failed"] == 0
 
 
 class TestFleetAdmission:
@@ -183,25 +197,32 @@ class TestFleetAdmission:
         ready, go = _gate()
         fleet = WorkerFleet(testbed, workers=1, queue_depth=1,
                             _gate=(ready, go))
+        app = ThaliaApp(testbed=testbed, fleet=fleet)
         try:
             results = []
             thread = threading.Thread(
-                target=lambda: results.append(fleet.execute(GATED)))
+                target=lambda: results.append(fleet.run(gated())))
             thread.start()
             ready.acquire()            # the only slot is now occupied
             with pytest.raises(FleetSaturated) as caught:
-                fleet.execute(GATED)
+                fleet.run(gated())
             assert caught.value.retry_after_s >= 1
+            response = app.handle(Request(
+                method="POST", path="/api/query", headers={},
+                body=json.dumps(gated()).encode("utf-8")))
+            assert response.status == 429
+            retry_after = json.loads(response.body)["retry_after"]
+            assert response.headers["Retry-After"] == str(retry_after)
             stats = fleet.stats()
-            assert stats["shed"] == 1
-            assert stats["slo"]["query"]["shed"] == 1
-            assert stats["slo"]["query"]["shed_rate"] == 0.5
+            assert stats["shed"] == 2
+            assert stats["slo"]["query"]["shed"] == 2
+            assert stats["slo"]["query"]["shed_rate"] == round(2 / 3, 4)
             go.release()
             thread.join(timeout=30)
-            assert results and results[0][1] == 200
+            assert results == [((), {"gated": True})]
         finally:
             go.release()
-            fleet.close()
+            app.close()
 
     def test_dead_worker_requests_are_requeued_not_failed(self, testbed):
         ready, go = _gate()
@@ -209,7 +230,7 @@ class TestFleetAdmission:
         try:
             results = []
             thread = threading.Thread(
-                target=lambda: results.append(fleet.execute(GATED)))
+                target=lambda: results.append(fleet.run(gated())))
             thread.start()
             ready.acquire()            # task parked inside some worker
             victim = next(handle for handle in fleet._workers
@@ -218,13 +239,47 @@ class TestFleetAdmission:
             ready.acquire()            # same task re-delivered elsewhere
             go.release()
             thread.join(timeout=30)
-            assert results and results[0][1] == 200
+            assert results == [((), {"gated": True})]
             stats = fleet.stats()
             assert stats["respawns"] == 1
             assert stats["requeued"] == 1
             assert stats["failed"] == 0
             assert sum(row["cold_starts"]
                        for row in stats["per_worker"]) == 1
+        finally:
+            go.release()
+            fleet.close()
+
+    def test_request_that_kills_two_workers_fails(self, testbed):
+        """A request is requeued once: when its second worker dies too,
+        it answers 500 instead of cycling respawns until its timeout."""
+        ready, go = _gate()
+        fleet = WorkerFleet(testbed, workers=2, _gate=(ready, go))
+        try:
+            errors = []
+
+            def run():
+                try:
+                    fleet.run(gated())
+                except FleetQueryFailed as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=run)
+            thread.start()
+            for _death in range(2):
+                ready.acquire()        # parked inside some worker
+                victim = next(handle for handle in fleet._workers
+                              if handle.outstanding)
+                os.kill(victim.pid, signal.SIGKILL)
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert [error.status for error in errors] == [500]
+            assert "died" in errors[0].body["error"]
+            stats = fleet.stats()
+            assert stats["requeued"] == 1
+            assert stats["respawns"] == 2
+            assert stats["failed"] == 1
+            assert stats["completed"] == 0
         finally:
             go.release()
             fleet.close()
@@ -247,7 +302,7 @@ class TestFleetShutdown:
         lock = threading.Lock()
 
         def run():
-            outcome = fleet.execute(GATED)
+            outcome = fleet.run(gated())
             with lock:
                 results.append(outcome)
 
@@ -260,16 +315,23 @@ class TestFleetShutdown:
         closer.start()
         assert fleet.draining.wait(timeout=30)
         with pytest.raises(FleetClosed):
-            fleet.execute({"xquery": QUERIES[0].xquery})
+            fleet.run({"xquery": QUERIES[0].xquery})
         go.release()                       # release the drain
         closer.join(timeout=30)
         assert not closer.is_alive()
         for thread in threads:
             thread.join(timeout=30)
-        assert [status for _body, status, _r in results] == [200] * inflight
+        assert results == [((), {"gated": True})] * inflight
         assert fleet.counters["failed"] == 0
         assert all(not handle.process.is_alive()
                    for handle in fleet._workers)
+
+    def test_closed_fleet_answers_503(self, apps):
+        _single, served = apps
+        served.fleet.close()
+        status, body = _post(served, "/api/query", CMU_QUERY)
+        assert status == 503
+        assert json.loads(body) == {"error": "service is shutting down"}
 
     def test_server_stop_drains_fleet_requests_over_http(self, testbed):
         """The HTTP acceptor + fleet drain together: gated requests
@@ -288,12 +350,12 @@ class TestFleetShutdown:
         statuses = []
         lock = threading.Lock()
 
-        def run():
+        def run(payload):
             connection = http.client.HTTPConnection(server.host,
                                                     server.port,
                                                     timeout=60)
             connection.request("POST", "/api/query",
-                               body=json.dumps(GATED),
+                               body=json.dumps(payload),
                                headers={"Content-Type":
                                         "application/json"})
             response = connection.getresponse()
@@ -302,7 +364,8 @@ class TestFleetShutdown:
                 statuses.append(response.status)
             connection.close()
 
-        threads = [threading.Thread(target=run) for _ in range(inflight)]
+        threads = [threading.Thread(target=run, args=(gated(),))
+                   for _ in range(inflight)]
         for thread in threads:
             thread.start()
         for _ in range(inflight):
@@ -323,7 +386,7 @@ class TestFleetShutdown:
 
     def test_stats_block_shape(self, testbed):
         with WorkerFleet(testbed, workers=2) as fleet:
-            fleet.execute({"xquery": QUERIES[0].xquery})
+            fleet.run({"xquery": QUERIES[0].xquery})
             stats = fleet.stats()
             assert stats["enabled"] is True
             assert stats["workers"] == 2
@@ -337,4 +400,3 @@ class TestFleetShutdown:
             for worker_row in stats["per_worker"]:
                 assert isinstance(worker_row["cpu_s"], float)
                 assert isinstance(worker_row["rss_kb"], int)
-            assert stats["shared_cache"]["stores"] >= 1

@@ -9,7 +9,7 @@ import pytest
 from repro.catalogs import build_testbed, paper_universities
 from repro.core.answers import cached_gold_answer, gold_answer
 from repro.core.queries import get_query
-from repro.xquery import compile_query
+from repro.xquery import compile_query, query_fingerprint
 from repro.xquery.results import (
     ResultCache,
     estimate_bytes,
@@ -149,15 +149,21 @@ class TestPlanFingerprint:
             str(args[0][0]).upper()], 1)
         assert compile_query(source, extended).fingerprint \
             != plain.fingerprint
+        # query_fingerprint is the same identity, without compiling.
+        assert query_fingerprint(source) == plain.fingerprint
+        assert query_fingerprint(source, extended) \
+            == compile_query(source, extended).fingerprint
 
     def test_registry_fingerprint_memo_invalidated_on_register(self):
         from repro.xquery import builtin_registry
         registry = builtin_registry()
         before = registry.fingerprint()
         assert registry.fingerprint() is before     # memoized
+        text = registry.fingerprint_bytes()
         registry.register("extra", lambda ctx, args: [], 0)
         after = registry.fingerprint()
         assert after != before
+        assert registry.fingerprint_bytes() != text
         assert any(name == "extra" for name, _ in after)
 
 
