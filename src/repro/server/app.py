@@ -25,7 +25,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..cache import BoundedCache
 from ..catalogs import Testbed, shared_testbed
-from ..core import QUERIES
 from ..website import SiteGenerator
 from ..xquery import (
     PlanCache,
@@ -87,12 +86,10 @@ class ThaliaApp:
         self.cache = ContentCache()
         self.metrics = ServerMetrics()
         self.router = build_router()
-        # Compiled-plan cache for POST /api/query; warmed with the twelve
-        # benchmark queries so their plans (and, once run, per-query
-        # exec-ns) always appear in /api/stats.
+        # Compiled-plan cache of every query path (handlers.compile_plan):
+        # costed plans, compiled on first use — a fleet frontend, which
+        # never executes, compiles only what /api/explain asks for.
         self.plans = PlanCache(maxsize=128)
-        for query in QUERIES:
-            self.plans.get(query.xquery)
         # Query-result cache for POST /api/query[/batch], with or without
         # a fleet: keyed by (query fingerprint, document-scope content
         # fingerprint), with single-flight coalescing of identical
@@ -175,8 +172,9 @@ class ThaliaApp:
         """Planner statistics over this testbed, collected lazily.
 
         Keyed by the testbed's content fingerprint through the
-        module-wide statistics cache, so the first ``/api/explain``
-        request pays collection and every later one is a dict probe.
+        module-wide statistics cache, so the first compile (a query
+        miss or an explain) pays collection and every later one is a
+        dict probe.
         """
         return collect_statistics(
             self.testbed.documents,

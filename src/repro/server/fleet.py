@@ -51,7 +51,7 @@ import threading
 import time
 from multiprocessing.connection import wait as connection_wait
 
-from ..xquery import PlanCache, XQueryError
+from ..xquery import PlanCache, XQueryError, collect_statistics
 from .metrics import LatencyReservoir
 
 logger = logging.getLogger(__name__)
@@ -122,7 +122,7 @@ def _worker_main(index: int, seed: int, scale: int, inherited_testbed,
     same content the frontend's cache keys name.
     """
     from ..catalogs import shared_testbed
-    from .handlers import _scope, execute_query, query_error
+    from .handlers import _documents, execute_query, query_error
 
     dump_dir = os.environ.get("THALIA_FLEET_DUMP_DIR")
     if dump_dir:
@@ -141,6 +141,11 @@ def _worker_main(index: int, seed: int, scale: int, inherited_testbed,
     testbed = inherited_testbed if inherited_testbed is not None \
         else shared_testbed(seed, scale=scale)
     plans = PlanCache(maxsize=128)
+    # Collected once per worker (a fork may inherit the frontend's):
+    # workers cost their plans against the same statistics as one
+    # process, so they run the same plans.
+    statistics = collect_statistics(
+        testbed.documents, fingerprint=testbed.content_fingerprint())
     served = 0
     resp_conn.send(("hello", index, os.getpid(), _process_meta(served)))
     while True:
@@ -173,9 +178,10 @@ def _worker_main(index: int, seed: int, scale: int, inherited_testbed,
             # The frontend validated the payload and its source.
             payload = message[2]
             try:
-                documents, _ = _scope(testbed, payload.get("source"))
-                outcome = ("value", execute_query(plans, documents,
-                                                  payload["xquery"]))
+                outcome = ("value", execute_query(
+                    plans, statistics,
+                    _documents(testbed, payload.get("source")),
+                    payload["xquery"]))
             except XQueryError as exc:
                 outcome = ("error", *query_error(exc))
             except Exception as exc:   # pragma: no cover - defensive

@@ -57,7 +57,9 @@ from ..website.bundles import (
 from ..xmlmodel import XmlElement, serialize, serialize_pretty
 from ..xquery import (
     DocumentResolver,
+    Plan,
     PlanCache,
+    Statistics,
     XQueryError,
     XQuerySyntaxError,
     query_fingerprint,
@@ -237,7 +239,7 @@ def build_router() -> Router:
         payload["result_cache"] = app.results.stats()
         payload["honor_roll"] = {
             "systems": len(app.store),
-            "submissions": len(app.store.submissions),
+            "submissions": app.store.revision,
             "revision": app.store.revision,
         }
         queries = []
@@ -314,14 +316,14 @@ def build_router() -> Router:
         if not isinstance(analyze, bool):
             return Response.of_json(
                 {"error": "'analyze' must be a boolean"}, status=400)
-        scope = _scope(app.testbed, payload.get("source"))
-        if isinstance(scope, dict):
-            return Response.of_json(scope, status=404)
-        documents, content_fp = scope
+        slug = payload.get("source")
+        content_fp = _scope(app.testbed, slug)
+        if isinstance(content_fp, dict):
+            return Response.of_json(content_fp, status=404)
 
         def build() -> tuple[bytes, str]:
             if analyze:
-                plan.execute(documents, analyze=True)
+                plan.execute(_documents(app.testbed, slug), analyze=True)
                 app.record_q_errors(plan)
             return (Response.of_json({
                 "explain": plan.explain_data(analyze=analyze),
@@ -329,8 +331,8 @@ def build_router() -> Router:
             }).body, "application/json")
 
         try:
-            plan = app.plans.get(payload["xquery"],
-                                 statistics=app.statistics)
+            plan = compile_plan(app.plans, app.statistics,
+                                payload["xquery"])
             response = app.cached_response(
                 ("explain", plan.identity, content_fp, analyze), build)
         except XQueryError as exc:
@@ -476,17 +478,24 @@ def build_router() -> Router:
     return router
 
 
-def _scope(testbed, slug: object) -> tuple[DocumentResolver, str] | dict:
-    """The documents of *testbed* a query body's ``source`` names, as
-    ``(doc() resolver, content fingerprint)``: the one source, or the
-    whole testbed when *slug* is ``None``.  An unknown source yields its
-    404 body instead."""
+def _scope(testbed, slug: object) -> str | dict:
+    """The content fingerprint of the documents of *testbed* a query
+    body's ``source`` names: the one source, or the whole testbed when
+    *slug* is ``None``.  An unknown source yields its 404 body instead."""
     if slug is None:
-        return testbed.document_resolver(), testbed.content_fingerprint()
+        return testbed.content_fingerprint()
     if slug not in testbed:
         return {"error": f"no such source: {slug}"}
-    return (DocumentResolver({slug: testbed.source(slug).document}),
-            testbed.content_fingerprint([slug]))
+    return testbed.content_fingerprint([slug])
+
+
+def _documents(testbed, slug: str | None) -> DocumentResolver:
+    """The ``doc()`` resolver over the scope :func:`_scope` accepted;
+    built only where a plan runs, so a result-cache hit or a fleet
+    frontend never pays for it."""
+    if slug is None:
+        return testbed.document_resolver()
+    return DocumentResolver({slug: testbed.source(slug).document})
 
 
 def query_error(exc: XQueryError) -> tuple[dict, int]:
@@ -499,16 +508,31 @@ def query_error(exc: XQueryError) -> tuple[dict, int]:
     return body, 400
 
 
-def execute_query(plans: PlanCache, documents: DocumentResolver,
+def compile_plan(plans: PlanCache, statistics: Statistics,
+                 text: str) -> Plan:
+    """The service's one compile entry point: *text*'s plan costed
+    against *statistics*, through *plans*.
+
+    ``/api/query``, ``/api/query/batch``, ``/api/explain`` and fleet
+    workers all compile here, so the plan a query runs is the plan
+    explain describes (hash joins included).  Raises
+    :class:`XQueryError`.
+    """
+    return plans.get(text, statistics=statistics)
+
+
+def execute_query(plans: PlanCache, statistics: Statistics,
+                  documents: DocumentResolver,
                   text: str) -> tuple[tuple, dict]:
-    """Compile *text* through *plans*, run it over *documents* and
-    serialize its items: the value the result cache holds for it, as
-    ``(items, plan info)``.  Raises :class:`XQueryError`.
+    """Compile *text* through :func:`compile_plan`, run it over
+    *documents* and serialize its items: the value the result cache
+    holds for it, as ``(items, plan info)``.  Raises
+    :class:`XQueryError`.
 
     It runs in the process that answers a query: the frontend when it
     serves alone, a worker when a fleet computes its misses.
     """
-    plan = plans.get(text)
+    plan = compile_plan(plans, statistics, text)
     items = plan.execute(documents)
     rendered = tuple(serialize(item) if isinstance(item, XmlElement)
                      else item for item in items)
@@ -540,16 +564,17 @@ def _run_one_query(app: "ThaliaApp", payload: object,
         return {"error": "body must be a JSON object with an 'xquery' "
                          "string"}, 400
     text = payload["xquery"]
-    scope = _scope(app.testbed, payload.get("source"))
-    if isinstance(scope, dict):
-        return scope, 404
-    documents, content_fp = scope
+    slug = payload.get("source")
+    content_fp = _scope(app.testbed, slug)
+    if isinstance(content_fp, dict):
+        return content_fp, 404
     if app.fleet is not None:
         def compute() -> tuple[tuple, dict]:
             return app.fleet.run(payload, endpoint)
     else:
         def compute() -> tuple[tuple, dict]:
-            return execute_query(app.plans, documents, text)
+            return execute_query(app.plans, app.statistics,
+                                 _documents(app.testbed, slug), text)
     try:
         (rendered, plan_info), cache_status = app.results.fetch(
             query_fingerprint(text), content_fp, compute)

@@ -2,7 +2,8 @@
 
 Boots ``thalia serve`` as a real subprocess on an ephemeral port, then
 exercises the public surface over actual HTTP: home page, a catalog
-page, a download bundle, query definitions, a ``POST /api/query`` run,
+page, a download bundle, query definitions, a ``POST /api/query`` run
+(on a costed plan, as ``/api/stats`` must show before any explain),
 a valid score upload, an inflated upload (must be rejected 422), a
 malformed upload (400), honor-roll ordering, cache hit-rate visibility,
 and a graceful SIGINT shutdown.  The server is then rebooted on the same
@@ -175,6 +176,12 @@ def main() -> int:
         status, _, single_body = _post_json(f"{base}/api/query", CMU_QUERY)
         check(status == 200 and json.loads(single_body)["count"] >= 1,
               "POST /api/query runs an XQuery")
+
+        status, _, body = _request(f"{base}/api/stats")
+        planner = json.loads(body)["planner"]
+        check(status == 200 and planner["costed_plans"] >= 1
+              and planner["explains"] == 0,
+              "POST /api/query runs a costed plan (no explain sent)")
 
         status, _, body = _post_json(f"{base}/api/scores", {
             "submitter": "smoke", "date": "2004-08-01",

@@ -4,11 +4,13 @@ The static site renders an in-memory
 :class:`~repro.core.honor_roll.HonorRoll`; the benchmark service needs
 uploads to survive restarts.  This store appends one JSON object per
 accepted submission to a ``.jsonl`` file (flushed and fsynced before the
-client sees a 201), and replays the file on boot.  Ranking semantics are
-exactly the in-memory roll's — the file is replayed through
-:meth:`HonorRoll.submit`, so a later upload for the same system replaces
-the earlier one — and a torn final line from a crash mid-append is
-skipped, not fatal.
+client sees a 201), and replays the file once, on boot.  It keeps only
+the *current* roll in memory and updates it through
+:meth:`HonorRoll.submit` on every append, in upload order — exactly the
+replay's replacement semantics (a later upload for the same system
+replaces the earlier one), so ranking, ties included, matches a replay
+of the file while reads cost O(systems), not O(uploads ever).  A torn
+final line from a crash mid-append is skipped, not fatal.
 
 The store satisfies the site generator's
 :class:`~repro.website.sitegen.RankedScores` protocol, so
@@ -33,26 +35,31 @@ class HonorRollStore:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.RLock()
-        self._submissions: list[HonorRollEntry] = []
-        self.skipped_lines = 0
-        #: bumped on every append; cache keys for honor-roll views embed
-        #: it so uploaded scores invalidate cached pages immediately
-        self.revision = 0
-        self._load()
+        self._roll = HonorRoll()
+        history, self.skipped_lines = self._read()
+        for entry in history:
+            self._roll.submit(entry.card, entry.submitter, entry.date)
+        #: submissions so far, bumped on every append; cache keys for
+        #: honor-roll views embed it so uploaded scores invalidate cached
+        #: pages immediately
+        self.revision = len(history)
 
-    def _load(self) -> None:
+    def _read(self) -> tuple[list[HonorRollEntry], int]:
+        """The submissions on file, in upload order, and the count of
+        unreadable lines skipped."""
         if not self.path.exists():
-            return
+            return [], 0
+        entries: list[HonorRollEntry] = []
+        skipped = 0
         for line in self.path.read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if not line:
                 continue
             try:
-                self._submissions.append(
-                    HonorRollEntry.from_dict(json.loads(line)))
+                entries.append(HonorRollEntry.from_dict(json.loads(line)))
             except (ValueError, KeyError, TypeError):
-                self.skipped_lines += 1
-        self.revision = len(self._submissions)
+                skipped += 1
+        return entries, skipped
 
     # -- writes ----------------------------------------------------------- #
 
@@ -67,7 +74,7 @@ class HonorRollStore:
                 handle.write(line + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
-            self._submissions.append(entry)
+            self._roll.submit(card, submitter, date)
             self.revision += 1
         return entry
 
@@ -75,20 +82,16 @@ class HonorRollStore:
 
     @property
     def submissions(self) -> list[HonorRollEntry]:
-        """Raw submission history, in upload order (resubmissions kept)."""
+        """Raw submission history, in upload order (resubmissions kept),
+        read from the file on demand."""
         with self._lock:
-            return list(self._submissions)
-
-    def honor_roll(self) -> HonorRoll:
-        """The current roll: history replayed with replacement semantics."""
-        roll = HonorRoll()
-        for entry in self.submissions:
-            roll.submit(entry.card, entry.submitter, entry.date)
-        return roll
+            return self._read()[0]
 
     def ranked(self) -> list[HonorRollEntry]:
-        return self.honor_roll().ranked()
+        with self._lock:
+            return self._roll.ranked()
 
     def __len__(self) -> int:
         """Distinct systems on the roll (not raw submission count)."""
-        return len(self.honor_roll())
+        with self._lock:
+            return len(self._roll)

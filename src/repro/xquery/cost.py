@@ -16,8 +16,12 @@ Selectivity estimation works over the deterministic value samples of
 :mod:`repro.xquery.stats`: a LIKE pattern or equality literal is matched
 against the sample and the observed fraction is the estimate, with
 conservative fallbacks (:data:`DEFAULT_SELECTIVITY` and friends) when no
-sample applies.  All estimates are pure functions of the statistics, so
-costed plans are deterministic across processes.
+sample applies.  Equality and LIKE read the sample through the memoized
+per-tag value counts and LIKE match counts of
+:class:`~repro.xquery.stats.DocumentStats`, so repeated estimates cost a
+dict probe rather than a pass over the sample.  All estimates are pure
+functions of the statistics, so costed plans are deterministic across
+processes.
 """
 
 from __future__ import annotations
@@ -97,25 +101,30 @@ def _fraction(matched: int, total: int, fallback: float) -> float:
     return max(matched, 1) / (total + 1) if matched < total else 1.0
 
 
-def like_selectivity(samples: tuple[str, ...], pattern) -> float:
-    """Fraction of *samples* matched by a compiled LIKE *pattern*."""
-    if not samples:
+def like_selectivity(docstats: "DocumentStats", tag: str,
+                     pattern) -> float:
+    """Fraction of *tag*'s value samples matched by a compiled LIKE
+    *pattern*."""
+    total = len(docstats.samples(tag))
+    if not total:
         return LIKE_DEFAULT
-    matched = sum(1 for value in samples if pattern.match(value))
-    return _fraction(matched, len(samples), LIKE_DEFAULT)
+    return _fraction(docstats.like_matches(tag, pattern), total,
+                     LIKE_DEFAULT)
 
 
-def equality_selectivity(samples: tuple[str, ...], distinct: int,
+def equality_selectivity(docstats: "DocumentStats", tag: str,
                          value: object) -> float:
-    """Fraction of *samples* equal to *value* (after the engine's
-    string/number coercion), else one over the observed domain size."""
-    if not samples:
+    """Fraction of *tag*'s value samples equal to *value* (after the
+    engine's string/number coercion), else one over the observed domain
+    size."""
+    total = len(docstats.samples(tag))
+    if not total:
         return DEFAULT_SELECTIVITY
-    text = _comparable(value)
-    matched = sum(1 for sample in samples if sample == text)
+    counts = docstats.value_counts(tag)
+    matched = counts.get(_comparable(value), 0)
     if matched:
-        return _fraction(matched, len(samples), EQUALITY_FLOOR)
-    return max(EQUALITY_FLOOR, 1.0 / max(1, distinct))
+        return _fraction(matched, total, EQUALITY_FLOOR)
+    return max(EQUALITY_FLOOR, 1.0 / max(1, len(counts)))
 
 
 def range_selectivity(samples: tuple[str, ...], op: str,
@@ -146,10 +155,10 @@ def range_selectivity(samples: tuple[str, ...], op: str,
     return _fraction(matched, total, DEFAULT_SELECTIVITY)
 
 
-def inequality_selectivity(samples: tuple[str, ...], distinct: int,
+def inequality_selectivity(docstats: "DocumentStats", tag: str,
                            value: object) -> float:
     return max(EQUALITY_FLOOR,
-               1.0 - equality_selectivity(samples, distinct, value))
+               1.0 - equality_selectivity(docstats, tag, value))
 
 
 def _comparable(value: object) -> str:
@@ -162,18 +171,15 @@ def comparison_selectivity(docstats: "DocumentStats", context_tag: str,
                            child_tag: str, op: str, value: object,
                            like_pattern=None) -> float:
     """Selectivity of ``context/child_tag <op> value`` predicates."""
-    samples = docstats.samples(child_tag)
     if like_pattern is not None:
-        estimate = like_selectivity(samples, like_pattern)
+        estimate = like_selectivity(docstats, child_tag, like_pattern)
         return estimate if op == "=" else \
             max(EQUALITY_FLOOR, 1.0 - estimate)
     if op == "=":
-        return equality_selectivity(samples, docstats.distinct(child_tag),
-                                    value)
+        return equality_selectivity(docstats, child_tag, value)
     if op == "!=":
-        return inequality_selectivity(samples,
-                                      docstats.distinct(child_tag), value)
-    return range_selectivity(samples, op, value)
+        return inequality_selectivity(docstats, child_tag, value)
+    return range_selectivity(docstats.samples(child_tag), op, value)
 
 
 # --------------------------------------------------------------------------- #

@@ -2036,6 +2036,10 @@ _BOOLEAN_FUNCTIONS = frozenset({
 #: Builtins whose value depends on the predicate focus.
 _FOCUS_FUNCTIONS = frozenset({"position", "last"})
 
+#: Operators that never have children; most nodes of a plan are these,
+#: so :func:`_children` answers them first.
+_LEAF_OPS = (LiteralOp, VarRefOp, ContextItemOp, DocOp)
+
 #: Operators whose value changes only when one of their children's does.
 _TRANSPARENT_OPS = (FunctionCallOp, SequenceOp, IfOp, LogicalOp, NotOp,
                     ArithmeticOp, ComparisonOp, PathOp, IndexedPathOp)
@@ -2043,6 +2047,8 @@ _TRANSPARENT_OPS = (FunctionCallOp, SequenceOp, IfOp, LogicalOp, NotOp,
 
 def _children(op: Op) -> list[Op]:
     """Every operator directly under *op*, step predicates included."""
+    if isinstance(op, _LEAF_OPS):
+        return []
     if isinstance(op, (PathOp, IndexedPathOp)):
         children = [op.base] if isinstance(op, PathOp) else []
         children.extend(predicate for step in op.steps

@@ -39,13 +39,23 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Most leaf values / attribute values sampled per (tag) / (tag, attr).
 SAMPLE_CAP = 240
 
+#: LIKE match counts memoized per document, as (tag, pattern) entries
+#: (least recently used evicted past this): user patterns are unbounded.
+LIKE_MEMO_SIZE = 256
+
 
 class DocumentStats:
-    """Cardinalities, fanouts and value samples for one document."""
+    """Cardinalities, fanouts and value samples for one document.
+
+    The collected facts are immutable, so the derived facts costing
+    reads per compile — per-tag child totals, per-tag value counts and
+    LIKE match counts — are computed once and memoized here.
+    """
 
     __slots__ = ("name", "root_tag", "element_count", "tag_counts",
                  "child_pairs", "subtree_totals", "value_samples",
-                 "sampled_exactly", "attr_values")
+                 "sampled_exactly", "attr_values", "_child_totals",
+                 "_value_counts", "_like_matches")
 
     def __init__(self, name: str, root_tag: str, element_count: int,
                  tag_counts: dict[str, int],
@@ -63,6 +73,10 @@ class DocumentStats:
         self.value_samples = value_samples
         self.sampled_exactly = sampled_exactly
         self.attr_values = attr_values
+        self._child_totals: dict[str, int] | None = None
+        self._value_counts: dict[str, dict[str, int]] = {}
+        self._like_matches: BoundedCache[tuple, int] = \
+            BoundedCache(LIKE_MEMO_SIZE)
 
     # -- cardinalities ---------------------------------------------------- #
 
@@ -88,9 +102,12 @@ class DocumentStats:
         parents = self.tag_counts.get(tag, 0)
         if not parents:
             return 1.0
-        total = sum(count for (parent, _child), count
-                    in self.child_pairs.items() if parent == tag)
-        return total / parents
+        if self._child_totals is None:
+            totals: dict[str, int] = {}
+            for (parent, _child), count in self.child_pairs.items():
+                totals[parent] = totals.get(parent, 0) + count
+            self._child_totals = totals
+        return self._child_totals.get(tag, 0) / parents
 
     def avg_subtree(self, tag: str | None) -> float:
         """Average strict-descendant count of a *tag* element — the
@@ -107,8 +124,25 @@ class DocumentStats:
     def samples(self, tag: str) -> tuple[str, ...]:
         return self.value_samples.get(tag, ())
 
-    def distinct(self, tag: str) -> int:
-        return len(set(self.value_samples.get(tag, ())))
+    def value_counts(self, tag: str) -> dict[str, int]:
+        """How often each sampled string value of *tag* occurs; its
+        length is the observed distinct count."""
+        counts = self._value_counts.get(tag)
+        if counts is None:
+            counts = {}
+            for value in self.value_samples.get(tag, ()):
+                counts[value] = counts.get(value, 0) + 1
+            self._value_counts[tag] = counts
+        return counts
+
+    def like_matches(self, tag: str, pattern) -> int:
+        """How many sampled values of *tag* the compiled LIKE *pattern*
+        matches."""
+        matched, _status = self._like_matches.lookup(
+            (tag, pattern), lambda: sum(
+                count for value, count in self.value_counts(tag).items()
+                if pattern.match(value)))
+        return matched
 
     def distinct_estimate(self, tag: str) -> int:
         """Estimated distinct string values across *all* ``tag`` leaves.
@@ -124,7 +158,7 @@ class DocumentStats:
         count = self.tag_counts.get(tag, 0)
         if not samples:
             return max(1, count)
-        observed = len(set(samples))
+        observed = len(self.value_counts(tag))
         if self.sampled_exactly.get(tag, True):
             return max(1, observed)
         if observed == len(samples):
@@ -319,6 +353,7 @@ def clear_statistics_cache() -> None:
 
 
 __all__ = [
+    "LIKE_MEMO_SIZE",
     "SAMPLE_CAP",
     "DocumentStats",
     "Statistics",

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.server import ThaliaApp
-from repro.server.handlers import MAX_BATCH_QUERIES
+from repro.server.handlers import MAX_BATCH_QUERIES, compile_plan
 from repro.server.router import Request
 from repro.xquery import DocumentResolver
 
@@ -154,13 +154,14 @@ class TestCoalescing:
                         scores_path=tmp_path / "roll.jsonl",
                         query_workers=4)
         try:
-            # Fresh app: warmed plans have runs == 0.  A query no one has
-            # run yet, issued N times concurrently, must execute exactly
-            # once — followers coalesce onto the leader's flight.
+            # Fresh app: the served plan, compiled through the served
+            # entry point, has runs == 0.  A query no one has run yet,
+            # issued N times concurrently, must execute exactly once —
+            # followers coalesce onto the leader's flight.
             source = ('FOR $c in doc("cmu.xml")/cmu/Course '
                       'WHERE contains($c/CourseTitle, "Database") '
                       'RETURN $c')
-            plan = app.plans.get(source)
+            plan = compile_plan(app.plans, app.statistics, source)
             assert plan.runs == 0
             barrier = threading.Barrier(8)
 

@@ -35,6 +35,10 @@ CTX = multiprocessing.get_context("fork" if "fork" in _METHODS else "spawn")
 CMU_QUERY = {"xquery": 'FOR $c IN doc("cmu.xml")/cmu/Course RETURN $c',
              "source": "cmu"}
 
+SELF_JOIN = ('for $a in doc("cmu.xml")/cmu/Course, '
+             '$b in doc("cmu.xml")/cmu/Course '
+             'where $a/Lecturer = $b/Lecturer return $b/CourseNum')
+
 #: Every kind of answer a query item can get, good and bad.
 MIXED = [
     {"xquery": QUERIES[0].xquery},
@@ -116,6 +120,18 @@ class TestFleetExecution:
                 expected = _post(single, "/api/query", payload)
                 assert expected[0] == 200
                 assert _post(served, "/api/query", payload) == expected
+
+    def test_workers_run_the_costed_plan(self, apps):
+        """A worker answers a self-join with one process's plan info
+        (nodes visited, index lookups), and one process runs it as a
+        costed hash join, so the worker does too."""
+        single, served = apps
+        payload = {"xquery": SELF_JOIN, "source": "cmu"}
+        expected = _post(single, "/api/query", payload)
+        assert expected[0] == 200
+        assert _post(served, "/api/query", payload) == expected
+        assert single.planner_stats()["costed_decisions"]["hash-joins"] \
+            >= 1
 
     def test_errors_and_batches_match_single_process(self, apps):
         single, served = apps

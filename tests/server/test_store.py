@@ -95,3 +95,46 @@ class TestPersistence:
             paper_testbed, honor_roll=HonorRoll()).render_page(
             "honor_roll.html")
         assert store_page == roll_page
+
+
+class TestCurrentRoll:
+    def test_reads_never_replay_the_history(self, tmp_path, monkeypatch):
+        """``ranked()`` and ``len()`` read the current roll: after 200
+        uploads they submit nothing."""
+        from repro.core import HonorRoll
+
+        store = HonorRollStore(tmp_path / "roll.jsonl")
+        for upload in range(200):
+            store.append(make_card(f"sys{upload % 7}", upload % 13), "a")
+        calls = []
+        submit = HonorRoll.submit
+
+        def counting_submit(self, *args, **kwargs):
+            calls.append(args)
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(HonorRoll, "submit", counting_submit)
+        assert len(store.ranked()) == 7
+        assert len(store) == 7
+        assert calls == []
+        assert store.revision == len(store.submissions) == 200
+
+    def test_ranking_matches_a_replay_ties_included(self, tmp_path):
+        """Resubmissions move a system to the end of the roll, as a
+        replay does, so equal scores rank in the same order."""
+        from repro.core import HonorRoll
+
+        path = tmp_path / "roll.jsonl"
+        store = HonorRollStore(path)
+        uploads = [("a", 5), ("b", 5), ("c", 7), ("a", 5), ("d", 5),
+                   ("c", 5), ("b", 5)]
+        replay = HonorRoll()
+        for system, correct in uploads:
+            store.append(make_card(system, correct), "alice")
+            replay.submit(make_card(system, correct), "alice")
+        expected = [entry.card.system for entry in replay.ranked()]
+        assert [entry.card.system for entry in store.ranked()] == expected
+        reopened = HonorRollStore(path)
+        assert [entry.card.system
+                for entry in reopened.ranked()] == expected
+        assert reopened.revision == store.revision == len(uploads)
