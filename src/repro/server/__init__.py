@@ -7,8 +7,11 @@ build:
 
 * :class:`ThaliaApp` — transport-independent request handling: routing,
   content cache (sha256 ETags, 304s, gzip), metrics, score re-scoring;
-* :class:`ThaliaServer` — bounded worker-pool HTTP server with graceful
-  shutdown (``thalia serve`` on the command line);
+* :class:`ThaliaServer` — a small stdlib HTTP/1.1 keep-alive server on
+  a bounded thread pool, with capped lines, headers and bodies (400 /
+  413 / 431 answers), idle and per-request read deadlines, one
+  ``sendall`` per response, and a graceful shutdown that closes idle
+  connections (``thalia serve`` on the command line);
 * :class:`HonorRollStore` — durable JSON-lines store behind
   ``POST /api/scores`` and the live ``/honor-roll`` page, shared with
   the static :class:`~repro.website.SiteGenerator`.
@@ -22,7 +25,7 @@ In-process quickstart::
         ...                     # requests are served on worker threads
 """
 
-from .app import DEFAULT_SCORES_FILE, PooledHTTPServer, ThaliaApp, ThaliaServer
+from .app import DEFAULT_SCORES_FILE, ThaliaApp, ThaliaServer
 from .cache import CacheEntry, ContentCache, make_etag
 from .fleet import (
     FleetClosed,
@@ -52,7 +55,6 @@ __all__ = [
     "FleetSaturated",
     "HonorRollStore",
     "LatencyReservoir",
-    "PooledHTTPServer",
     "Request",
     "Response",
     "Route",

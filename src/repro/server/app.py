@@ -6,22 +6,26 @@
 conditional-GET (``ETag`` / ``If-None-Match`` → 304), transfer gzip and
 per-endpoint metrics centrally so handlers stay tiny.  Tests can drive
 it without sockets; :class:`ThaliaServer` puts it behind a bounded
-worker-pool HTTP server with graceful shutdown for real traffic.
+HTTP/1.1 keep-alive loop with graceful shutdown for real traffic.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
+import io
 import logging
 import os
+import socket
+import socketserver
 import threading
 import time
 import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http import HTTPStatus
 from pathlib import Path
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 from ..cache import BoundedCache
 from ..catalogs import Testbed, shared_testbed
@@ -455,152 +459,67 @@ def _etag_matches(if_none_match: str, etag: str) -> bool:
 # HTTP transport
 # --------------------------------------------------------------------------- #
 
-class _HttpHandler(BaseHTTPRequestHandler):
-    """Adapts ``http.server`` requests to :meth:`ThaliaApp.handle`."""
-
-    server_version = "ThaliaServer/1.0"
-    protocol_version = "HTTP/1.1"
-    # Headers and body go out as separate writes; without TCP_NODELAY,
-    # Nagle + delayed ACK stalls every keep-alive response by ~40ms.
-    disable_nagle_algorithm = True
-
-    def _dispatch(self, include_body: bool = True) -> None:
-        parsed = urlsplit(self.path)
-        declared = (self.headers.get("Content-Length") or "0").strip(" \t")
-        if not (declared.isascii() and declared.isdigit()):
-            # The body's extent is unknown, so the connection cannot be
-            # reused: the Connection: close header makes the handler drop
-            # it after this answer.
-            self._send(Response.of_json(
-                {"error": f"invalid Content-Length: {declared!r}"},
-                status=400, headers={"Connection": "close"}), include_body)
-            return
-        length = int(declared)
-        request = Request(
-            method=self.command,
-            path=parsed.path,
-            query={key: values[-1] for key, values
-                   in parse_qs(parsed.query).items()},
-            headers={key.lower(): value for key, value
-                     in self.headers.items()},
-            body=self.rfile.read(length) if length else b"",
-        )
-        response = self.server.app.handle(request)  # type: ignore[attr-defined]
-        self._send(response, include_body)
-
-    def _send(self, response: Response, include_body: bool) -> None:
-        self.send_response(response.status)
-        for key, value in response.headers.items():
-            self.send_header(key, value)
-        if response.status != 304:
-            self.send_header("Content-Type", response.content_type)
-            self.send_header("Content-Length", str(len(response.body)))
-        if include_body and response.status != 304 and response.body:
-            self.end_headers()
-            self.wfile.write(response.body)
-        else:
-            self.end_headers()
-
-    def do_GET(self) -> None:            # noqa: N802 (http.server API)
-        self._dispatch()
-
-    def do_POST(self) -> None:           # noqa: N802
-        self._dispatch()
-
-    def do_HEAD(self) -> None:           # noqa: N802
-        self._dispatch(include_body=False)
-
-    def log_message(self, format: str, *args) -> None:
-        logger.debug("%s %s", self.address_string(), format % args)
+#: Caps on a request: bytes per line (CRLF included), header lines, body.
+MAX_LINE = 8192
+MAX_HEADERS = 100
+MAX_BODY = 1 << 20
+#: Seconds a kept-alive connection may idle, and a request may take from
+#: its request line to the last byte of its headers and body.
+IDLE_TIMEOUT_S = 15.0
+HEADER_DEADLINE_S = 10.0
 
 
-class PooledHTTPServer(HTTPServer):
-    """An ``HTTPServer`` that answers requests on a bounded thread pool.
-
-    ``ThreadingHTTPServer`` spawns one thread per connection — unbounded
-    under heavy traffic.  Here the acceptor enqueues each connection on a
-    fixed-size :class:`ThreadPoolExecutor`; excess connections queue
-    instead of multiplying threads.
-    """
-
-    def __init__(self, address, handler_class, app: ThaliaApp,
-                 pool_size: int = 8) -> None:
-        super().__init__(address, handler_class)
-        self.app = app
-        self.pool_size = max(1, int(pool_size))
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.pool_size, thread_name_prefix="thalia-http")
-
-    def process_request(self, request, client_address) -> None:
-        self._pool.submit(self._work, request, client_address)
-
-    def _work(self, request, client_address) -> None:
-        try:
-            self.finish_request(request, client_address)
-        except Exception:
-            self.handle_error(request, client_address)
-        finally:
-            self.shutdown_request(request)
-
-    def handle_error(self, request, client_address) -> None:
-        logger.debug("connection error from %s\n%s", client_address,
-                     traceback.format_exc())
-
-    def drain(self, wait: bool = True) -> None:
-        """Stop accepting pool work and (optionally) finish in-flight
-        requests."""
-        self._pool.shutdown(wait=wait)
+class _Refused(Exception):
+    """``(status, message)``: the transport answers, then closes."""
 
 
-class ThaliaServer:
-    """Lifecycle wrapper: bind, serve (blocking or background), stop.
+class _DeadlineIO(socket.SocketIO):
+    """Socket reads that time out at an absolute ``deadline``."""
 
-    ``port=0`` binds an ephemeral port (see :attr:`port` after
-    :meth:`start`).  :meth:`stop` is graceful: the acceptor loop exits,
-    in-flight requests finish on the worker pool, then the socket closes.
-    """
+    def readinto(self, buffer):
+        if (left := self.deadline - time.monotonic()) <= 0:
+            raise TimeoutError("client too slow")
+        self._sock.settimeout(left)
+        return super().readinto(buffer)
+
+
+class ThaliaServer(socketserver.TCPServer):
+    """*app* over HTTP/1.1 keep-alive on ``pool_size`` threads (``port=0``:
+    an ephemeral port).  :meth:`stop` is graceful: the acceptor exits, idle
+    keep-alive connections close, in-flight requests finish."""
+
+    allow_reuse_address = True
 
     def __init__(self, app: ThaliaApp | None = None, host: str = "127.0.0.1",
                  port: int = 0, pool_size: int = 8) -> None:
         self.app = app if app is not None else ThaliaApp()
-        self._server = PooledHTTPServer((host, port), _HttpHandler,
-                                        app=self.app, pool_size=pool_size)
-        self._thread: threading.Thread | None = None
-        self._stopped = False
-
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def serve_forever(self) -> None:
-        """Blocking serve loop (the CLI's foreground mode)."""
-        self._server.serve_forever(poll_interval=0.1)
+        super().__init__((host, port), None)
+        self.host, self.port = self.server_address[:2]
+        self.url = f"http://{self.host}:{self.port}"
+        self._pool = ThreadPoolExecutor(max_workers=max(1, int(pool_size)),
+                                        thread_name_prefix="thalia-http")
+        self._conns: set[socket.socket] = set()   # open, for stop()
+        self._lock = threading.Lock()
+        self._closing = False
 
     def start(self) -> "ThaliaServer":
         """Serve on a daemon thread; returns self once accepting."""
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        name="thalia-acceptor", daemon=True)
-        self._thread.start()
+        threading.Thread(target=self.serve_forever, args=(0.1,),
+                         name="thalia-acceptor", daemon=True).start()
         return self
 
     def stop(self) -> None:
         """Graceful shutdown; safe to call more than once."""
-        if self._stopped:
+        if self._closing:
             return
-        self._stopped = True
-        self._server.shutdown()            # acceptor loop exits
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-        self._server.drain(wait=True)      # in-flight requests finish
-        self._server.server_close()
+        self._closing = True
+        self.shutdown()                    # acceptor loop exits
+        with self._lock:     # wake idle reads; requests already sent stay
+            for conn in self._conns:
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_RD)
+        self._pool.shutdown(wait=True)     # in-flight requests finish
+        self.server_close()
         self.app.close()                   # batch-query pool drains last
 
     def __enter__(self) -> "ThaliaServer":
@@ -608,3 +527,88 @@ class ThaliaServer:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+    def process_request(self, conn, client_address) -> None:
+        self._conns.add(conn)    # stop() reads it once the acceptor exits
+        self._pool.submit(self._serve, conn, client_address[0])
+
+    def _serve(self, conn: socket.socket, peer: str) -> None:
+        try:
+            # Nagle would hold a 100 Continue or a big body's tail for an ACK.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            rfile = io.BufferedReader(raw := _DeadlineIO(conn, "rb"))
+            keep = True
+            while keep:
+                raw.deadline = time.monotonic() + IDLE_TIMEOUT_S
+                line = rfile.readline(MAX_LINE + 1)
+                if not line:
+                    break
+                raw.deadline = time.monotonic() + HEADER_DEADLINE_S
+                try:
+                    request, keep = _read_request(line, rfile, conn)
+                except _Refused as refused:
+                    keep, (status, error) = False, refused.args
+                    response = Response.of_json({"error": error}, status)
+                else:
+                    response = self.app.handle(request)
+                keep = keep and not self._closing
+                conn.sendall(_encode(response, keep, line[:5] == b"HEAD "))
+                if logger.isEnabledFor(logging.DEBUG):
+                    logger.debug("%s %r %d", peer, line, response.status)
+        except Exception:        # reset, timed out, gone mid-request...
+            logger.debug("dropped %s", peer, exc_info=True)
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+            self.shutdown_request(conn)
+
+
+def _read_request(line: bytes, rfile, conn) -> tuple[Request, bool]:
+    """The request after its first *line*, and whether to keep alive."""
+    parts = line.decode("latin-1").split()
+    if len(line) > MAX_LINE or len(parts) != 3 \
+            or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
+        raise _Refused(400, f"bad request line: {line[:100]!r}")
+    method, target, version = parts
+    headers: dict[str, str] = {}
+    for count in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            break
+        if len(line) > MAX_LINE or count == MAX_HEADERS:
+            raise _Refused(431, f"over {MAX_HEADERS} headers or a header "
+                                f"line over {MAX_LINE} bytes")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or name != name.strip():
+            raise _Refused(400, f"malformed header line: {line[:100]!r}")
+        headers[name.lower()] = value.strip()
+    declared = headers.get("content-length", "0")
+    if not (declared.isascii() and declared.isdigit()):
+        raise _Refused(400, f"invalid Content-Length: {declared!r}")
+    if (length := int(declared)) > MAX_BODY:
+        raise _Refused(413, f"request body over {MAX_BODY} bytes")
+    if length and headers.get("expect", "").lower() == "100-continue":
+        conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+    body = rfile.read(length) if length else b""
+    if len(body) < length:
+        raise ConnectionAbortedError("client closed mid-body")
+    path, _, query = target.partition("?")
+    query_args = {key: values[-1] for key, values
+                  in parse_qs(query).items()} if query else {}
+    keep = headers.get("connection", "").lower() != "close"
+    return Request(method, path, query_args, headers, body), \
+        keep and version == "HTTP/1.1"
+
+
+def _encode(response: Response, keep: bool, head_only: bool) -> bytes:
+    """One buffer: status line, headers, and body unless HEAD or 304."""
+    status = response.status
+    lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+             *(f"{key}: {value}" for key, value in response.headers.items())]
+    if status != 304:
+        lines += (f"Content-Type: {response.content_type}",
+                  f"Content-Length: {len(response.body)}")
+    if not keep:
+        lines.append("Connection: close")
+    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    return head if head_only or status == 304 else head + response.body

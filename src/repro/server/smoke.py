@@ -6,8 +6,11 @@ page, a download bundle, query definitions, a ``POST /api/query`` run
 (on a costed plan, as ``/api/stats`` must show before any explain),
 a valid score upload, an inflated upload (must be rejected 422), a
 malformed upload (400), honor-roll ordering, cache hit-rate visibility,
-and a graceful SIGINT shutdown.  The server is then rebooted on the same
-score store to prove uploads survive restarts.
+then over raw sockets a ``Content-Length`` over the body cap (413 and
+close, no body sent) and two requests on one keep-alive connection, and
+a graceful SIGINT shutdown with that connection still open and idle.
+The server is then rebooted on the same score store to prove uploads
+survive restarts.
 
 A final leg reboots the service with ``--fleet 2`` and asserts that a
 fleet answer matches the single-process bytes, that a repeat answers
@@ -35,6 +38,8 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+
+from .app import MAX_BODY
 
 BOOT_TIMEOUT_S = 300.0
 
@@ -132,6 +137,40 @@ def _fleet_stats(base: str) -> dict:
     return json.loads(body).get("fleet", {})
 
 
+def _read_answer(reader) -> tuple[int, dict]:
+    """Status and lower-cased headers of one response (body consumed)."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    reader.read(int(headers.get("content-length", 0)))
+    return status, headers
+
+
+def _transport_checks(port: int) -> socket.socket:
+    """Raw-socket checks of the HTTP transport; returns a keep-alive
+    connection left open and idle, which shutdown must not wait on."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock, \
+            sock.makefile("rb") as reader:
+        sock.sendall(f"POST /api/scores HTTP/1.1\r\nHost: smoke\r\n"
+                     f"Content-Length: {MAX_BODY + 1}\r\n\r\n".encode())
+        status, headers = _read_answer(reader)
+        check(status == 413 and headers.get("connection") == "close"
+              and reader.read() == b"",
+              "Content-Length over the body cap answers 413 and closes, "
+              "with no body sent")
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    with sock.makefile("rb") as reader:
+        statuses = []
+        for path in ("/healthz", "/api/queries"):
+            sock.sendall(f"GET {path} HTTP/1.1\r\nHost: smoke\r\n\r\n"
+                         .encode())
+            statuses.append(_read_answer(reader)[0])
+    check(statuses == [200, 200], "one keep-alive socket serves two requests")
+    return sock
+
+
 def check(condition: bool, label: str) -> None:
     marker = "ok" if condition else "FAIL"
     print(f"  [{marker}] {label}")
@@ -145,6 +184,7 @@ def main() -> int:
     base = f"http://127.0.0.1:{port}"
     print(f"booting thalia serve on {base} ...")
     process = _boot(port, scores)
+    idle = None
     try:
         status, headers, body = _request(f"{base}/")
         check(status == 200 and b"THALIA" in body, "GET / serves home page")
@@ -223,9 +263,12 @@ def main() -> int:
         check(stats["totals"]["cache_hits"] > 0
               and stats["content_cache"]["hit_rate"] > 0,
               "warm-cache hit-rate visible at /api/stats")
+        idle = _transport_checks(port)
     finally:
         _stop(process)
-    print("  [ok] graceful shutdown on SIGINT")
+        if idle is not None:
+            idle.close()
+    print("  [ok] graceful shutdown on SIGINT with an idle keep-alive client")
 
     print("rebooting on the same score store ...")
     process = _boot(port, scores)

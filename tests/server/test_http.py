@@ -4,9 +4,13 @@ One server per test module, over the nine paper-pinned sources; a few
 tests boot private servers to exercise cold caches and restarts.
 """
 
+import contextlib
 import gzip
 import json
+import logging
 import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 import zipfile
@@ -16,6 +20,8 @@ from io import BytesIO
 import pytest
 
 from repro.server import HonorRollStore, ThaliaApp, ThaliaServer
+from repro.server import app as app_module
+from repro.server.app import MAX_BODY
 
 
 def fetch(base, path, data=None, headers=None, method=None):
@@ -267,6 +273,193 @@ class TestBadContentLength:
         assert head.split(b"\r\n")[0].split()[1:2] == [b"400"]
         assert b"Connection: close" in head
         assert "Content-Length" in json.loads(body)["error"]
+
+
+def read_response(reader, head_only=False):
+    """(status, lower-cased headers, body) of one response off *reader*."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = 0 if head_only else int(headers.get("content-length", 0))
+    return status, headers, reader.read(length)
+
+
+@contextlib.contextmanager
+def connect(server, timeout=5):
+    """A raw socket to *server* and a binary reader over it."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=timeout) as sock, \
+            sock.makefile("rb") as reader:
+        yield sock, reader
+
+
+def closed_by_server(sock):
+    """Whether the server closed *sock*: EOF, or a reset when request
+    bytes the server never read were still queued at its end."""
+    try:
+        return sock.recv(1024) == b""
+    except ConnectionResetError:
+        return True
+
+
+def raw_request(method, path, body=b"", extra="", length=None):
+    """One HTTP/1.1 request; *length* overrides the declared body size."""
+    length = len(body) if length is None else length
+    return (f"{method} {path} HTTP/1.1\r\nHost: t\r\n{extra}"
+            f"Content-Length: {length}\r\n\r\n").encode() + body
+
+
+EXPECT = "Expect: 100-continue\r\n"
+QUERY_BODY = json.dumps({"xquery": 'FOR $c IN doc("cmu.xml")/cmu/Course '
+                                   'RETURN $c', "source": "cmu"}).encode()
+
+
+class TestFraming:
+    """The transport's own answers to requests it will not serve, and
+    HTTP/1.1 connection reuse, over raw sockets."""
+
+    @pytest.mark.parametrize("payload,statuses", [
+        (b"GARBAGE\r\n\r\n", {400}),
+        (b"GET / HTTP/1.1\r\nX-Long: " + b"a" * 9000 + b"\r\n\r\n",
+         {400, 431}),
+        (b"GET / HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n",
+         {400, 431}),
+        # Over the body cap: refused before any body is sent, so no
+        # thread waits for one.
+        (raw_request("POST", "/api/scores", length=MAX_BODY + 1), {413}),
+    ], ids=["bad-request-line", "long-header-line", "too-many-headers",
+            "body-over-cap"])
+    def test_answers_error_and_closes(self, server, payload, statuses):
+        with connect(server) as (sock, reader):
+            sock.sendall(payload)
+            status, headers, body = read_response(reader)
+            assert status in statuses
+            assert headers.get("connection") == "close"
+            assert "error" in json.loads(body)
+            assert closed_by_server(sock)
+
+    def test_keep_alive_serves_requests_in_turn_and_pipelined(self, server):
+        with connect(server) as (sock, reader):
+            sock.sendall(raw_request("GET", "/healthz"))
+            assert read_response(reader)[0] == 200
+            sock.sendall(raw_request("POST", "/api/query", QUERY_BODY))
+            status, headers, body = read_response(reader)
+            assert status == 200 and json.loads(body)["count"] >= 1
+            assert "connection" not in headers
+            sock.sendall(raw_request("GET", "/healthz")
+                         + raw_request("GET", "/api/queries"))
+            assert read_response(reader)[0] == 200
+            assert len(json.loads(read_response(reader)[2])) == 12
+
+    @pytest.mark.parametrize("version,extra", [
+        ("HTTP/1.1", "Connection: close\r\n"), ("HTTP/1.0", "")],
+        ids=["connection-close", "http-1.0"])
+    def test_closes_after_one_answer(self, server, version, extra):
+        with connect(server) as (sock, reader):
+            sock.sendall(f"GET /healthz {version}\r\n{extra}\r\n".encode())
+            assert read_response(reader)[0] == 200
+            assert closed_by_server(sock)
+
+    def test_head_carries_get_length_and_no_body(self, server):
+        with connect(server) as (sock, reader):
+            sock.sendall(raw_request("HEAD", "/") + raw_request("GET", "/"))
+            status, head, _ = read_response(reader, head_only=True)
+            assert status == 200
+            # Had HEAD carried a body, this status line would be page bytes.
+            status, _, body = read_response(reader)
+            assert status == 200
+            assert int(head["content-length"]) == len(body) > 0
+
+    def test_expect_continue_before_the_body(self, server):
+        with connect(server) as (sock, reader):
+            sock.sendall(raw_request("POST", "/api/query", extra=EXPECT,
+                                     length=len(QUERY_BODY)))
+            assert read_response(reader, head_only=True)[0] == 100
+            sock.sendall(QUERY_BODY)
+            status, _, body = read_response(reader)
+            assert status == 200 and json.loads(body)["count"] >= 1
+
+    def test_expect_continue_refused_over_the_cap(self, server):
+        with connect(server) as (sock, reader):
+            sock.sendall(raw_request("POST", "/api/scores", extra=EXPECT,
+                                     length=MAX_BODY + 1))
+            status, headers, _ = read_response(reader)
+            assert status == 413 and headers["connection"] == "close"
+            assert closed_by_server(sock)
+
+    def test_debug_access_log_line_per_request(self, base, caplog):
+        def logged():
+            return [record.getMessage() for record in caplog.records
+                    if "/api/sources" in record.getMessage()]
+
+        with caplog.at_level(logging.DEBUG, logger="repro.server.app"):
+            fetch(base, "/api/sources")
+            deadline = time.monotonic() + 5    # logged after the answer
+            while not logged() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert len(logged()) == 1 and logged()[0].endswith(" 200")
+
+
+class TestHostileClients:
+    """Clients that hold a connection without finishing a request."""
+
+    @pytest.mark.parametrize("mode", ["idle", "trickle"])
+    def test_ninth_client_served_while_eight_hold_the_pool(
+            self, paper_testbed, tmp_path, monkeypatch, mode):
+        # Eight slow clients occupy every thread of the default pool; the
+        # idle timeout (idle) or the header deadline (trickle) frees one.
+        monkeypatch.setattr(app_module, "IDLE_TIMEOUT_S",
+                            0.5 if mode == "idle" else 30.0)
+        monkeypatch.setattr(app_module, "HEADER_DEADLINE_S", 0.5)
+        app = ThaliaApp(testbed=paper_testbed,
+                        store=HonorRollStore(tmp_path / "roll.jsonl"))
+        done = threading.Event()
+        with ThaliaServer(app, port=0) as running:
+            slow = [socket.create_connection((running.host, running.port),
+                                             timeout=10) for _ in range(8)]
+
+            def trickle(sock):
+                try:
+                    sock.sendall(b"GET / HTTP/1.1\r\nX-Slow: ")
+                    while not done.wait(0.1):
+                        sock.sendall(b"x")
+                except OSError:
+                    pass                       # dropped by the server
+
+            threads = [threading.Thread(target=trickle, args=(sock,))
+                       for sock in slow if mode == "trickle"]
+            for thread in threads:
+                thread.start()
+            try:
+                started = time.monotonic()
+                status, _, _ = fetch(running.url, "/healthz")
+                assert status == 200
+                assert time.monotonic() - started < 10
+                for sock in slow:                # each was dropped unanswered
+                    assert closed_by_server(sock)
+            finally:
+                done.set()
+                for thread in threads:
+                    thread.join(timeout=10)
+                for sock in slow:
+                    sock.close()
+
+    def test_stop_returns_with_idle_keep_alive_client(self, paper_testbed,
+                                                      tmp_path):
+        app = ThaliaApp(testbed=paper_testbed,
+                        store=HonorRollStore(tmp_path / "roll.jsonl"))
+        server = ThaliaServer(app, port=0).start()
+        with connect(server, timeout=10) as (sock, reader):
+            sock.sendall(raw_request("GET", "/healthz"))
+            assert read_response(reader)[0] == 200
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            stopper.join(timeout=2)
+            assert not stopper.is_alive(), "stop() waited on an idle client"
+            assert closed_by_server(sock)
+        stopper.join(timeout=30)
 
 
 class TestScoreUpload:
