@@ -9,6 +9,8 @@ which is exactly how the paper argues the twelve cases are separable.
 Operators never raise on *missing* data (that is what null policies are
 for); they raise :class:`MappingError` only on structurally impossible
 input, e.g. an unparseable workload on a record that definitely has one.
+Their paths are child tag names joined by ``/``, read by
+:func:`select_path`.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from __future__ import annotations
 import abc
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..catalogs.model import workload_to_units
-from ..xmlmodel import XmlElement, select, select_elements, select_first
+from ..xmlmodel import XmlElement, XmlPathError, is_valid_name
 from .capabilities import Capability
 from .errors import MappingError
 from .nulls import Null
@@ -59,14 +62,36 @@ class MappingOp(abc.ABC):
         return f"<{type(self).__name__} [{self.capability.name}]>"
 
 
+@lru_cache(maxsize=512)
+def _steps(path: str) -> tuple[str, ...]:
+    """Split a mapping path into its child tag names, once per path.
+
+    Raises:
+        XmlPathError: when a step is not an XML name. Mapping paths are
+            child tag names joined by ``/``; ``//``, ``*``, ``@``,
+            ``text()`` and predicates are XQuery's business.
+    """
+    steps = tuple(path.split("/"))
+    for step in steps:
+        if not is_valid_name(step):
+            raise XmlPathError(
+                f"invalid step {step!r} in mapping path {path!r}")
+    return steps
+
+
+def select_path(node: XmlElement, path: str) -> list[XmlElement]:
+    """Elements at child path *path* below *node*, in document order."""
+    steps = _steps(path)
+    nodes = node.findall(steps[0])
+    for step in steps[1:]:
+        nodes = [child for parent in nodes for child in parent.findall(step)]
+    return nodes
+
+
 def _first_text(record: XmlElement, path: str) -> str | None:
     """Normalized text of the first match, or None when absent."""
-    match = select_first(record, path)
-    if match is None:
-        return None
-    if isinstance(match, str):
-        return " ".join(match.split())
-    return match.normalized_text
+    matches = select_path(record, path)
+    return matches[0].normalized_text if matches else None
 
 
 # --------------------------------------------------------------------------- #
@@ -234,7 +259,7 @@ class DirectTextTitle(MappingOp):
         self.path = path
 
     def apply(self, record, out, context):
-        matches = select_elements(record, self.path)
+        matches = select_path(record, self.path)
         if not matches:
             return
         direct = "".join(c for c in matches[0].children
@@ -254,7 +279,7 @@ class FlattenUnionTitle(MappingOp):
         self.path = path
 
     def apply(self, record, out, context):
-        matches = select_elements(record, self.path)
+        matches = select_path(record, self.path)
         if not matches:
             return
         title_node = matches[0]
@@ -413,7 +438,7 @@ class SectionStructure(MappingOp):
 
     def apply(self, record, out, context):
         rooms: list[str] = []
-        for index, node in enumerate(select_elements(record, self.path)):
+        for index, node in enumerate(select_path(record, self.path)):
             match = self._PATTERN.match(node.normalized_text)
             if match is None:
                 raise MappingError(
@@ -494,7 +519,7 @@ class InstructorsFromSectionTitles(MappingOp):
 
     def apply(self, record, out, context):
         names: list[str] = []
-        for node in select_elements(record, self.path):
+        for node in select_path(record, self.path):
             match = self._PATTERN.match(node.normalized_text)
             if match is None:
                 continue
@@ -554,7 +579,7 @@ class DecomposeCompositeTitle(MappingOp):
         # element only when nothing ran before us.
         text = out.get("title")
         if text is None:
-            matches = select_elements(record, self.path)
+            matches = select_path(record, self.path)
             if not matches:
                 return
             text = matches[0].normalized_text

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..xmlmodel import XmlDocument, select_elements
+from ..xmlmodel import XmlDocument
 from .capabilities import Capability
 from .errors import MappingError
 from .globalschema import GlobalCourse
-from .mappings import MappingContext, MappingOp
+from .mappings import MappingContext, MappingOp, select_path
 from .translate import DEFAULT_LEXICON, Lexicon
 
 
@@ -117,8 +117,7 @@ class Mediator:
         context = MappingContext(source=slug, lexicon=self.lexicon)
         report = IntegrationReport(source=slug, records=0)
         results: list[GlobalCourse] = []
-        records = select_elements(document.root, mapping.record_path,
-                                  index=document.index())
+        records = select_path(document.root, mapping.record_path)
         for index, record in enumerate(records):
             out: dict = {}
             try:

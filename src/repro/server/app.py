@@ -500,20 +500,24 @@ class ThaliaServer(socketserver.TCPServer):
                                         thread_name_prefix="thalia-http")
         self._conns: set[socket.socket] = set()   # open, for stop()
         self._lock = threading.Lock()
-        self._closing = False
+        self._closing = self._started = False
 
     def start(self) -> "ThaliaServer":
         """Serve on a daemon thread; returns self once accepting."""
+        self._started = True
         threading.Thread(target=self.serve_forever, args=(0.1,),
                          name="thalia-acceptor", daemon=True).start()
         return self
 
     def stop(self) -> None:
-        """Graceful shutdown; safe to call more than once."""
+        """Graceful shutdown; safe to call more than once, and on a server
+        never started (``shutdown()`` would wait for a loop that never ran;
+        a caller running ``serve_forever`` itself has returned from it)."""
         if self._closing:
             return
         self._closing = True
-        self.shutdown()                    # acceptor loop exits
+        if self._started:
+            self.shutdown()                # acceptor loop exits
         with self._lock:     # wake idle reads; requests already sent stay
             for conn in self._conns:
                 with contextlib.suppress(OSError):
@@ -582,6 +586,9 @@ def _read_request(line: bytes, rfile, conn) -> tuple[Request, bool]:
         if not colon or not name or name != name.strip():
             raise _Refused(400, f"malformed header line: {line[:100]!r}")
         headers[name.lower()] = value.strip()
+    if "transfer-encoding" in headers:     # framed by chunks we do not read
+        raise _Refused(501, "Transfer-Encoding is not supported; "
+                            "send a Content-Length body")
     declared = headers.get("content-length", "0")
     if not (declared.isascii() and declared.isdigit()):
         raise _Refused(400, f"invalid Content-Length: {declared!r}")

@@ -7,7 +7,8 @@ page, a download bundle, query definitions, a ``POST /api/query`` run
 a valid score upload, an inflated upload (must be rejected 422), a
 malformed upload (400), honor-roll ordering, cache hit-rate visibility,
 then over raw sockets a ``Content-Length`` over the body cap (413 and
-close, no body sent) and two requests on one keep-alive connection, and
+close, no body sent), a chunked request (501 and close, body unread)
+and two requests on one keep-alive connection, and
 a graceful SIGINT shutdown with that connection still open and idle.
 The server is then rebooted on the same score store to prove uploads
 survive restarts.
@@ -160,6 +161,14 @@ def _transport_checks(port: int) -> socket.socket:
               and reader.read() == b"",
               "Content-Length over the body cap answers 413 and closes, "
               "with no body sent")
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock, \
+            sock.makefile("rb") as reader:
+        sock.sendall(b"POST /api/query HTTP/1.1\r\nHost: smoke\r\n"
+                     b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n")
+        status, headers = _read_answer(reader)
+        check(status == 501 and headers.get("connection") == "close"
+              and reader.read() == b"",
+              "a chunked request answers 501 and closes, its body unread")
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     with sock.makefile("rb") as reader:
         statuses = []

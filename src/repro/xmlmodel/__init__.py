@@ -1,4 +1,4 @@
-"""XML substrate: document model, parser, serializer, paths and XSD subset.
+"""XML substrate: document model, parser, serializer, indexes and XSD subset.
 
 This package is the foundation the testbed, the scraper and the XQuery engine
 are built on. Public surface:
@@ -6,8 +6,7 @@ are built on. Public surface:
 * :class:`XmlElement`, :class:`XmlDocument`, :func:`element` — the tree model.
 * :func:`parse_xml`, :func:`parse_element` — expat-backed parsing.
 * :func:`serialize`, :func:`serialize_pretty` — exact and indented output.
-* :func:`select`, :func:`select_elements`, :func:`select_first`,
-  :func:`select_text` — the simple-path engine.
+* :class:`DocumentIndex` — per-document tag and child posting lists.
 * :func:`infer_schema`, :class:`XmlSchema`, :class:`ElementDecl` — XSD subset.
 """
 
@@ -21,15 +20,6 @@ from .errors import (
     XmlValidationError,
 )
 from .parser import parse_element, parse_xml
-from .paths import (
-    CompiledPath,
-    compile_path,
-    parse_path,
-    select,
-    select_elements,
-    select_first,
-    select_text,
-)
 from .schema import UNBOUNDED, ElementDecl, XmlSchema, infer_schema, parse_xsd
 from .serializer import (
     escape_attr,
@@ -41,9 +31,7 @@ from .serializer import (
 
 __all__ = [
     "Child",
-    "CompiledPath",
     "DocumentIndex",
-    "compile_path",
     "ElementDecl",
     "UNBOUNDED",
     "XmlDocument",
@@ -60,13 +48,8 @@ __all__ = [
     "infer_schema",
     "is_valid_name",
     "parse_element",
-    "parse_path",
     "parse_xsd",
     "parse_xml",
-    "select",
-    "select_elements",
-    "select_first",
-    "select_text",
     "serialize",
     "serialize_digest",
     "serialize_pretty",

@@ -14,7 +14,7 @@ Design notes:
   which gives the round-trip property ``parse(serialize(doc)) == doc`` that
   the test suite checks with hypothesis.
 * Navigation helpers (``find``, ``findall``, ``iter``) cover the needs of the
-  simple-path engine and the XQuery evaluator without pulling in lxml.
+  integration mappings and the XQuery evaluator without pulling in lxml.
 """
 
 from __future__ import annotations
@@ -148,14 +148,15 @@ class XmlElement:
 
     def find(self, tag: str) -> "XmlElement | None":
         """First direct child element with the given tag, or None."""
-        for child in self.element_children:
-            if child.tag == tag:
+        for child in self.children:
+            if isinstance(child, XmlElement) and child.tag == tag:
                 return child
         return None
 
     def findall(self, tag: str) -> list["XmlElement"]:
         """All direct child elements with the given tag, in order."""
-        return [c for c in self.element_children if c.tag == tag]
+        return [c for c in self.children
+                if isinstance(c, XmlElement) and c.tag == tag]
 
     def findtext(self, tag: str, default: str | None = None) -> str | None:
         """Flattened text of the first matching child, or *default*."""

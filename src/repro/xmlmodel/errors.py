@@ -32,7 +32,7 @@ class XmlParseError(XmlError):
 
 
 class XmlPathError(XmlError):
-    """Raised when a simple-path expression is syntactically invalid."""
+    """Raised when a mapping path is not child tag names joined by ``/``."""
 
 
 class XmlSchemaError(XmlError):

@@ -2,8 +2,16 @@
 
 import pytest
 
+from repro import xquery
 from repro.catalogs import build_testbed, paper_universities
-from repro.xmlmodel import select_text
+
+
+def first_text(testbed, slug, path):
+    """Normalized text of the first item the XQuery path
+    ``doc('<slug>')/<slug>/<path>`` selects, or ``""``."""
+    plan = xquery.compile(f"doc('{slug}')/{slug}/{path}")
+    items = plan.execute(testbed.document_resolver())
+    return items[0].normalized_text if items else ""
 
 
 class TestAssembly:
@@ -58,29 +66,27 @@ class TestPaperSamples:
     """The sample elements quoted in the paper exist in the extracted XML."""
 
     def test_q1_gatech_instructor_mark(self, testbed):
-        root = testbed.source("gatech").document.root
-        assert select_text(root, "Course[Instructor='Mark']/CourseNum") == \
+        assert first_text(
+            testbed, "gatech", "Course[Instructor='Mark']/CourseNum") == \
             "20381"
 
     def test_q1_cmu_lecturer_mark(self, testbed):
-        root = testbed.source("cmu").document.root
-        assert select_text(root, "Course[Lecturer='Mark']/CourseNum") == \
+        assert first_text(
+            testbed, "cmu", "Course[Lecturer='Mark']/CourseNum") == \
             "15-567*"
 
     def test_q2_cmu_time_twelve_hour(self, testbed):
-        root = testbed.source("cmu").document.root
-        assert select_text(
-            root, "Course[CourseNum='15-415']/Time") == "1:30 - 2:50"
+        assert first_text(
+            testbed, "cmu", "Course[CourseNum='15-415']/Time") == "1:30 - 2:50"
 
     def test_q2_umass_time_twenty_four_hour(self, testbed):
-        root = testbed.source("umass").document.root
-        assert select_text(
-            root, "Course[CourseNum='CS430']/Time") == "16:00-17:15"
+        assert first_text(
+            testbed, "umass", "Course[CourseNum='CS430']/Time") == \
+            "16:00-17:15"
 
     def test_q3_umd_plain_string_title(self, testbed):
-        root = testbed.source("umd").document.root
-        assert select_text(
-            root, "Course[CourseNum='CMSC420']/CourseName") == \
+        assert first_text(
+            testbed, "umd", "Course[CourseNum='CMSC420']/CourseName") == \
             "Data Structures;"
 
     def test_q3_brown_union_type_title(self, testbed):
@@ -92,13 +98,13 @@ class TestPaperSamples:
         assert "Data Structures" in title.normalized_text
 
     def test_q4_cmu_numeric_units(self, testbed):
-        root = testbed.source("cmu").document.root
-        assert select_text(root, "Course[CourseNum='15-415']/Units") == "12"
+        assert first_text(
+            testbed, "cmu", "Course[CourseNum='15-415']/Units") == "12"
 
     def test_q4_eth_umfang(self, testbed):
-        root = testbed.source("eth").document.root
-        assert select_text(
-            root, "Vorlesung[Titel='XML und Datenbanken']/Umfang") == "2V1U"
+        assert first_text(
+            testbed, "eth",
+            "Vorlesung[Titel='XML und Datenbanken']/Umfang") == "2V1U"
 
     def test_q5_eth_german_tags(self, testbed):
         root = testbed.source("eth").document.root
@@ -107,9 +113,8 @@ class TestPaperSamples:
         assert first.find("Dozent") is not None
 
     def test_q6_toronto_textbook(self, testbed):
-        root = testbed.source("toronto").document.root
-        book = select_text(
-            root, "course[title='Automated Verification']/text")
+        book = first_text(
+            testbed, "toronto", "course[title='Automated Verification']/text")
         assert book.startswith("'Model Checking', by Clarke")
 
     def test_q6_toronto_empty_textbook(self, testbed):
@@ -133,15 +138,14 @@ class TestPaperSamples:
         assert matches[0].findtext("prerequisite").strip() == "None"
 
     def test_q7_cmu_comment(self, testbed):
-        root = testbed.source("cmu").document.root
-        assert select_text(
-            root, "Course[CourseNum='15-415']/Comment") == \
+        assert first_text(
+            testbed, "cmu", "Course[CourseNum='15-415']/Comment") == \
             "First course in sequence"
 
     def test_q8_gatech_restricted(self, testbed):
-        root = testbed.source("gatech").document.root
-        assert select_text(
-            root, "Course[CourseNum='20422']/Restricted") == "JR or SR"
+        assert first_text(
+            testbed, "gatech", "Course[CourseNum='20422']/Restricted") == \
+            "JR or SR"
 
     def test_q8_eth_semester_note(self, testbed):
         root = testbed.source("eth").document.root
@@ -149,21 +153,20 @@ class TestPaperSamples:
         assert "Vernetzte Systeme (3. Semester)" in titles
 
     def test_q9_brown_room_on_course(self, testbed):
-        root = testbed.source("brown").document.root
-        assert select_text(
-            root, "Course[CourseNum='CS032']/Room") == \
+        assert first_text(
+            testbed, "brown", "Course[CourseNum='CS032']/Room") == \
             "CIT 165, Labs in Sunlab"
 
     def test_q9_umd_room_inside_section_time(self, testbed):
-        root = testbed.source("umd").document.root
-        time_text = select_text(
-            root, "Course[CourseNum='CMSC435']/Sections/Section/time")
+        time_text = first_text(
+            testbed, "umd",
+            "Course[CourseNum='CMSC435']/Sections/Section/time")
         assert "CHM 1407" in time_text
 
     def test_q10_cmu_set_valued_lecturer(self, testbed):
-        root = testbed.source("cmu").document.root
-        assert select_text(
-            root, "Course[CourseNum='15-610']/Lecturer") == "Song/Wing"
+        assert first_text(
+            testbed, "cmu", "Course[CourseNum='15-610']/Lecturer") == \
+            "Song/Wing"
 
     def test_q10_umd_instructor_in_section_title(self, testbed):
         root = testbed.source("umd").document.root
@@ -180,9 +183,9 @@ class TestPaperSamples:
         assert course.findtext("Winter2004") == "Deutsch"
 
     def test_q12_cmu_separate_day_attribute(self, testbed):
-        root = testbed.source("cmu").document.root
-        assert select_text(
-            root, "Course[CourseTitle='Computer Networks']/Day") == "F"
+        assert first_text(
+            testbed, "cmu",
+            "Course[CourseTitle='Computer Networks']/Day") == "F"
 
     def test_q12_brown_composite_title(self, testbed):
         root = testbed.source("brown").document.root

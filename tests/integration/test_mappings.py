@@ -18,18 +18,20 @@ from repro.integration import (
     InstructorsFromTermColumns,
     MappingContext,
     MappingError,
+    Mediator,
     NullableField,
     NumericUnits,
     ParseTimeRange,
     RoomFromText,
     SectionStructure,
+    SourceMapping,
     SplitInstructors,
     WorkloadUnits,
     MISSING,
     INAPPLICABLE,
     DEFAULT_LEXICON,
 )
-from repro.xmlmodel import element
+from repro.xmlmodel import XmlDocument, XmlPathError, element
 
 
 @pytest.fixture()
@@ -309,3 +311,29 @@ class TestStructuralOps:
         out = apply(InstructorsFromTermColumns(
             ("Fall2003", "Winter2004", "Spring2004")), record, ctx)
         assert out["instructors"] == ("Yannis", "Deutsch")
+
+
+class TestMalformedPaths:
+    """A mapping path is child tag names joined by ``/``; anything else is
+    a broken mapping, raised from integration rather than reported as one
+    per-record error after another."""
+
+    DOCUMENT = XmlDocument(
+        element("x", element("Course", element("Title", "Databases"),
+                             code="CS145")),
+        source_name="x")
+
+    @pytest.mark.parametrize("path", ["Course[1]", "//Title", "@code",
+                                      "a//b"])
+    def test_operator_path_raises(self, path):
+        mediator = Mediator({"x": SourceMapping(
+            "x", "Course", [CopyText(path, "title")])})
+        with pytest.raises(XmlPathError, match="mapping path"):
+            mediator.integrate_records(self.DOCUMENT)
+
+    @pytest.mark.parametrize("path", ["Course[1]", "//Course", "/Course"])
+    def test_record_path_raises(self, path):
+        mediator = Mediator({"x": SourceMapping(
+            "x", path, [CopyText("Title", "title")])})
+        with pytest.raises(XmlPathError, match="mapping path"):
+            mediator.integrate_records(self.DOCUMENT)

@@ -340,6 +340,20 @@ class TestFraming:
             assert "error" in json.loads(body)
             assert closed_by_server(sock)
 
+    def test_chunked_request_refused_before_its_body(self, server):
+        chunked = (b"POST /api/query HTTP/1.1\r\nHost: t\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n"
+                   + b"%x\r\n" % len(QUERY_BODY) + QUERY_BODY
+                   + b"\r\n0\r\n\r\n")
+        with connect(server) as (sock, reader):
+            sock.sendall(chunked)
+            status, headers, body = read_response(reader)
+            assert status == 501
+            assert headers.get("connection") == "close"
+            assert "Transfer-Encoding" in json.loads(body)["error"]
+            # No chunk-size line is ever read as a second request.
+            assert closed_by_server(sock)
+
     def test_keep_alive_serves_requests_in_turn_and_pipelined(self, server):
         with connect(server) as (sock, reader):
             sock.sendall(raw_request("GET", "/healthz"))
@@ -460,6 +474,18 @@ class TestHostileClients:
             assert not stopper.is_alive(), "stop() waited on an idle client"
             assert closed_by_server(sock)
         stopper.join(timeout=30)
+
+
+    def test_stop_returns_on_a_server_never_started(self, paper_testbed,
+                                                    tmp_path):
+        app = ThaliaApp(testbed=paper_testbed,
+                        store=HonorRollStore(tmp_path / "roll.jsonl"))
+        server = ThaliaServer(app, port=0)
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2)
+        assert not stopper.is_alive(), "stop() waited for a loop never run"
+        assert server.socket.fileno() == -1
 
 
 class TestScoreUpload:
