@@ -66,6 +66,11 @@ REQUEST_TIMEOUT_S = 300.0
 #: worker liveness check period.
 _POLL_S = 0.1
 
+#: How long construction waits, over all initial workers, for their hello
+#: (sent once a worker has its testbed and statistics), so every live
+#: worker's ``stats()`` row reports CPU and RSS from the start.
+HELLO_WAIT_S = 60.0
+
 
 class FleetError(RuntimeError):
     """Base class for fleet dispatch failures."""
@@ -283,6 +288,7 @@ class WorkerFleet:
         self._workers = [_WorkerHandle(index) for index in range(self.size)]
         for handle in self._workers:
             self._spawn(handle, cold=False)
+        self._await_hellos(time.monotonic() + HELLO_WAIT_S)
         self._dispatcher = threading.Thread(target=self._dispatch_loop,
                                             name="thalia-fleet-dispatch",
                                             daemon=True)
@@ -310,6 +316,19 @@ class WorkerFleet:
         handle.pid = process.pid
         if cold:
             handle.cold_starts += 1
+
+    def _await_hellos(self, deadline: float) -> None:
+        """Read each initial worker's hello, its first message, before the
+        dispatcher starts reading.  A worker that is silent until
+        *deadline* or dies first is left to the dispatcher and the
+        liveness sweep."""
+        for handle in self._workers:
+            try:
+                if handle.resp_conn.poll(max(0.0,
+                                             deadline - time.monotonic())):
+                    self._on_message(handle, handle.resp_conn.recv())
+            except (EOFError, OSError, pickle.UnpicklingError):
+                pass
 
     def _shard(self, slug: str) -> int:
         """Stable shard by ``(testbed scale, document)``."""

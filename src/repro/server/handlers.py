@@ -253,6 +253,7 @@ def build_router() -> Router:
                                         entry["query"]))
         payload["query_plans"] = {
             "cache": app.plans.stats(),
+            "templates": app.plans.templates.stats(),
             "queries": queries,
         }
         indexes = {}

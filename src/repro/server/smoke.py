@@ -4,6 +4,8 @@ Boots ``thalia serve`` as a real subprocess on an ephemeral port, then
 exercises the public surface over actual HTTP: home page, a catalog
 page, a download bundle, query definitions, a ``POST /api/query`` run
 (on a costed plan, as ``/api/stats`` must show before any explain),
+two queries that differ in one literal (each must answer as its own
+in-process compile, and ``/api/stats`` must count a plan-template hit),
 a valid score upload, an inflated upload (must be rejected 422), a
 malformed upload (400), honor-roll ordering, cache hit-rate visibility,
 then over raw sockets a ``Content-Length`` over the body cap (413 and
@@ -66,6 +68,24 @@ def _request(url: str, data: bytes | None = None,
 
 CMU_QUERY = {"xquery": 'FOR $c IN doc("cmu.xml")/cmu/Course RETURN $c',
              "source": "cmu"}
+
+#: One query shape, two literals: the second text is planned from the
+#: first one's template.
+LITERAL_QUERY = ('FOR $c IN doc("cmu.xml")/cmu/Course '
+                 "WHERE $c/CourseTitle = {} RETURN $c/CourseNum")
+LITERALS = ("'%Data%'", "'%Software%'")
+
+
+def _in_process_items(text: str) -> list:
+    """*text*'s answer items from a fresh in-process compile over the
+    testbed the served process builds (default seed, scale 1)."""
+    from ..catalogs import shared_testbed
+    from ..xmlmodel import XmlElement, serialize
+    from ..xquery import compile_query
+
+    items = compile_query(text).execute(shared_testbed().document_resolver())
+    return [serialize(item) if isinstance(item, XmlElement) else item
+            for item in items]
 
 
 def _post_json(url: str, payload: dict) -> tuple[int, dict, bytes]:
@@ -231,6 +251,20 @@ def main() -> int:
         check(status == 200 and planner["costed_plans"] >= 1
               and planner["explains"] == 0,
               "POST /api/query runs a costed plan (no explain sent)")
+
+        for literal in LITERALS:
+            text = LITERAL_QUERY.format(literal)
+            status, _, body = _post_json(f"{base}/api/query",
+                                         {"xquery": text})
+            check(status == 200
+                  and json.loads(body)["items"] == _in_process_items(text),
+                  f"literal {literal} answers as its own in-process "
+                  f"compile")
+        status, _, body = _request(f"{base}/api/stats")
+        templates = json.loads(body)["query_plans"].get("templates", {})
+        check(status == 200 and templates.get("hits", 0) >= 1,
+              "the second literal is planned from a template "
+              "(query_plans.templates.hits >= 1)")
 
         status, _, body = _post_json(f"{base}/api/scores", {
             "submitter": "smoke", "date": "2004-08-01",

@@ -35,7 +35,7 @@ class DocumentIndex:
     """
 
     __slots__ = ("root", "_enter", "_exit", "_by_tag", "_children",
-                 "_attr_names", "_strings", "element_count",
+                 "_attr_names", "_strings", "_columns", "element_count",
                  "child_lookups", "descendant_lookups", "string_lookups")
 
     def __init__(self, root: "XmlElement") -> None:
@@ -54,6 +54,9 @@ class DocumentIndex:
         self._attr_names: set[str] = set()
         # id(element) -> normalized string value, filled on demand.
         self._strings: dict[int, str] = {}
+        # tag -> {id(parent): (normalized string of each *tag* child)},
+        # built on first use by column().
+        self._columns: dict[str, dict[int, tuple[str, ...]]] = {}
         counter = 0
 
         def walk(node: "XmlElement") -> None:
@@ -160,6 +163,36 @@ class DocumentIndex:
             cached = node.normalized_text
             self._strings[id(node)] = cached
         return cached
+
+    def column(self, tag: str) -> dict[int, tuple[str, ...]]:
+        """``{id(parent): string values of its *tag* children}``, in
+        document order, for every parent with at least one such child: what
+        ``children_of(parent, tag)`` and ``string_of`` on each result would
+        return, read in one dict probe.  A covered parent missing from the
+        column has no *tag* children.
+
+        Built once per tag on first use and never invalidated.  Racing
+        builders each build a full column and the first published wins,
+        so no reader sees a partial one.  The lookups a reader stands in
+        for are not counted here; the reader adds them.
+        """
+        column = self._columns.get(tag)
+        if column is not None:
+            return column
+        strings = self._strings
+        built: dict[int, tuple[str, ...]] = {}
+        for parent_id, per_tag in self._children.items():
+            children = per_tag.get(tag)
+            if not children:
+                continue
+            values = []
+            for child in children:
+                value = strings.get(id(child))
+                if value is None:
+                    value = strings[id(child)] = child.normalized_text
+                values.append(value)
+            built[parent_id] = tuple(values)
+        return self._columns.setdefault(tag, built)
 
     # -- metrics ---------------------------------------------------------- #
 

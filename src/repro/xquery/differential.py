@@ -31,7 +31,14 @@ synthesized join pack — and checks:
   and build and probe actuals on every hash-join node;
 * the unfiltered self-join runs at least :data:`MIN_JOIN_SPEEDUP` times
   faster as a hash join than as a forced nested loop at the large scale
-  (both timed on the same host in the same process).
+  (both timed on the same host in the same process);
+* every text of the literal-varied corpus (:data:`LITERAL_TEMPLATES`,
+  at both scales) agrees across the five engines, and the plan a
+  :class:`~repro.xquery.plan_cache.PlanCache` binds from a template for
+  it answers the same and has the ``explain_data()``, ``decisions`` and
+  ``fingerprint`` of a fresh :func:`~repro.xquery.plan.compile_query`,
+  rule-based and costed; every shape of the corpus makes a template, and
+  each template serves at least one binding.
 
 Run it with::
 
@@ -50,6 +57,7 @@ from .errors import XQueryError
 from .evaluator import evaluate
 from .parser import parse_query
 from .plan import compile_query
+from .plan_cache import PlanCache
 
 #: Every engine of the matrix, interpreter first.
 ENGINES = ("interpreter", "rule-based", "costed", "nested-loop",
@@ -116,6 +124,50 @@ FUSION_QUERIES = [
     ("folded-doc",
      "for $b in doc(if (1 = 1) then 'cmu.xml' else 'x')/cmu/Course "
      "where $b/Day = 'F' return $b/CourseNum"),
+]
+
+
+#: Literal-varied templates: each text runs once per binding, the
+#: binding's XQuery literals substituted for the ``{}`` fields.  The
+#: bindings cover LIKE with ``%`` and ``_``, plain ``=`` and ``!=``,
+#: quote-escaped literals, a numeric ``>`` beside a numeric-looking
+#: string, a literal written first, a join, and bindings that flip one
+#: literal between LIKE and plain (a different template each way).
+LITERAL_TEMPLATES = [
+    ("like",
+     "for $b in doc('cmu.xml')/cmu/Course "
+     "where $b/CourseTitle = {} return $b/CourseNum",
+     [("'%Data%'",), ("'%Dat_ %'",), ("'_atabase%'",), ("'%'",),
+      ("'%zzz%'",)]),
+    ("plain",
+     "for $b in doc('cmu.xml')/cmu/Course "
+     "where $b/Day = {} and $b/Lecturer != {} return $b/CourseNum",
+     [("'F'", "'Ailamaki'"), ("'TTh'", "'Nobody'"), ("'MWF'", "''"),
+      ("'F'", "'F'")]),
+    ("quoted",
+     "for $b in doc('gatech.xml')/gatech/Course "
+     "where $b/Title != {} and $b/Instructor = {} return $b/CourseNum",
+     [("'it''s'", "'Mark'"), ("\"say \"\"hi\"\"\"", "'Mark'"),
+      ("'O''Hara %'", "'Nobody''s'")]),
+    ("numeric",
+     "for $b in doc('cmu.xml')/cmu/Course "
+     "where $b/Units > 9 and $b/Units != {} return $b/CourseNum",
+     [("'12'",), ("'9'",), ("'1.5e1'",), ("'x'",)]),
+    ("literal-first",
+     "for $b in doc('cmu.xml')/cmu/Course "
+     "where {} = $b/Day and {} < $b/CourseNum return $b/CourseNum",
+     [("'F'", "'15-4'"), ("'TTh'", "'9'"), ("'%T%'", "''")]),
+    ("join",
+     'for $a in doc("cmu.xml")/cmu/Course, '
+     '$b in doc("cmu.xml")/cmu/Course '
+     "where $a/Lecturer = $b/Lecturer and $b/Day = {} "
+     "return $b/CourseNum",
+     [("'F'",), ("'TTh'",), ("'%'",), ("'none'",)]),
+    ("like-flip",
+     "for $b in doc('umd.xml')/umd/Course "
+     "where $b/CourseName = {} return $b/CourseNum",
+     [("'%Data%'",), ("'Data Structures;'",), ("'%Struct%'",),
+      ("'Database Design'",)]),
 ]
 
 
@@ -220,6 +272,38 @@ def _verify(source: str, documents, statistics) -> tuple[dict, list[str]]:
     return plan.decisions, problems
 
 
+def _verify_bindings(template: str, bindings: list[tuple[str, ...]],
+                     documents, statistics) -> tuple[int, list[str]]:
+    """Run every binding of *template* through the matrix and through a
+    template-binding :class:`PlanCache` per planner (rule-based and
+    costed); returns (costed template hits, problems found)."""
+    problems: list[str] = []
+    caches = {"rule-based": (PlanCache(), None),
+              "costed": (PlanCache(), statistics)}
+    for binding in bindings:
+        source = template.format(*binding)
+        label = ", ".join(binding)
+        problems.extend(f"[{label}] {problem}" for problem
+                        in _verify(source, documents, statistics)[1])
+        reference = outcome(lambda: compile_query(source).execute(
+            documents))
+        for engine, (cache, stats) in caches.items():
+            bound = cache.get(source, statistics=stats)
+            fresh = compile_query(source, statistics=stats)
+            if outcome(lambda: bound.execute(documents)) != reference:
+                problems.append(f"[{label}] {engine} bound plan answers "
+                                f"differently")
+            if bound.explain_data() != fresh.explain_data() \
+                    or bound.decisions != fresh.decisions \
+                    or bound.fingerprint != fresh.fingerprint:
+                problems.append(f"[{label}] {engine} bound plan differs "
+                                f"from a fresh compile")
+    for engine, (cache, _stats) in caches.items():
+        if None in cache.templates.values():
+            problems.append(f"{engine}: a shape made no template")
+    return caches["costed"][0].templates.hits, problems
+
+
 def _best_execute_ns(plan, documents, repeat: int = 5) -> int:
     """Best-of-*repeat* wall time of ``plan.execute`` after one warm-up."""
     plan.execute(documents)
@@ -311,6 +395,16 @@ def main() -> int:
     _check("fusion outcomes agree", not failures,
            "; ".join(failures[:3])
            or f"{len(FUSION_QUERIES)} queries x {len(testbeds)} scales")
+
+    print(f"literal-varied templates at scales {sorted(testbeds)}:")
+    for name, template, bindings in LITERAL_TEMPLATES:
+        for scale in sorted(testbeds):
+            hits, problems = _verify_bindings(template, bindings,
+                                              *testbeds[scale])
+            _check(f"{name} bindings agree at scale {scale}",
+                   not problems and hits >= 1,
+                   "; ".join(problems[:3])
+                   or f"{len(bindings)} bindings, {hits} template hits")
 
     print(f"generated scenario pack seed={PACK_SEED} "
           f"cases={CASES}:")

@@ -543,6 +543,10 @@ def _filter_by_predicate(op: Op, sequence: Seq, ctx: DynamicContext,
     size = len(sequence)
     if not size:
         return []
+    if state.trace is None and state.index is not None:
+        shape = _column_shape(op)
+        if shape is not None:
+            return _column_filter(op, shape, sequence, ctx, state)
     kept: Seq = []
     # One focused context, re-aimed per item: evaluation is eager, so no
     # operator can observe the focus after its own run() returns.
@@ -556,6 +560,90 @@ def _filter_by_predicate(op: Op, sequence: Seq, ctx: DynamicContext,
                 kept.append(item)
         elif effective_boolean_value(value):
             kept.append(item)
+    return kept
+
+
+def _column_shape(op: Op) -> tuple[str, object, bool] | None:
+    """``(child tag, literal value, literal written first)`` when *op* is
+    a ``./tag <op> literal`` comparison (either operand order, LIKE or
+    plain) whose one child step the generic path would serve from the
+    active document index; None for any other shape."""
+    if type(op) is not ComparisonOp:
+        return None
+    if type(op.right) is LiteralOp:
+        path, literal, first = op.left, op.right, False
+    elif type(op.left) is LiteralOp:
+        path, literal, first = op.right, op.left, True
+    else:
+        return None
+    if type(path) is not PathOp or type(path.base) is not ContextItemOp \
+            or len(path.steps) != 1:
+        return None
+    step = path.steps[0]
+    if step.axis != "child" or step.kind != "element" or step.name == "*" \
+            or step.predicates or step.strategy == "scan":
+        return None
+    return step.name, literal.value, first
+
+
+def _column_filter(op: "ComparisonOp", shape: tuple[str, object, bool],
+                   sequence: Seq, ctx: DynamicContext,
+                   state: _ExecState) -> Seq:
+    """The column kernel: :func:`_filter_by_predicate` for a
+    ``./tag <op> literal`` predicate (see :func:`_column_shape`) in one
+    loop over the candidates.
+
+    Each covered candidate's child string values come from the active
+    index's column memo (:meth:`DocumentIndex.column`) in one dict probe,
+    and are tested with the LIKE pattern's ``match`` or with
+    :func:`_general_compare`, exactly as :meth:`ComparisonOp.run` tests
+    them.  It adds the plan counters (``index_lookups``,
+    ``nodes_visited``) and the index's ``child_lookups`` /
+    ``string_lookups`` the operator-by-operator path would have added,
+    in bulk, up to the candidate that raised if one does.  A candidate
+    outside the index takes the generic path.  Analyzed runs never come
+    here, so EXPLAIN ANALYZE still sees every operator.
+    """
+    tag, literal, literal_first = shape
+    index = state.index
+    column = index.column(tag)
+    probe = column.get
+    match = op.like[1].match if op.like is not None else None
+    positive = op.op == "="
+    compare = op.op
+    literal_seq = [literal]
+    kept: Seq = []
+    lookups = visited = 0
+    focused = None
+    try:
+        for position, item in enumerate(sequence, start=1):
+            values = probe(id(item))
+            if values is None:
+                if not index.covers(item):
+                    if focused is None:
+                        focused = ctx.with_focus(item, 0, len(sequence))
+                    focused.context_item = item
+                    focused.context_position = position
+                    if effective_boolean_value(op.run(focused, state)):
+                        kept.append(item)
+                    continue
+                values = ()
+            lookups += 1
+            visited += len(values)
+            if match is not None:
+                for value in values:
+                    if (match(value) is not None) is positive:
+                        kept.append(item)
+                        break
+            elif _general_compare(compare, literal_seq, values) \
+                    if literal_first \
+                    else _general_compare(compare, values, literal_seq):
+                kept.append(item)
+    finally:
+        state.index_lookups += lookups
+        state.nodes_visited += visited
+        index.child_lookups += lookups
+        index.string_lookups += visited
     return kept
 
 
@@ -1306,6 +1394,15 @@ class _Lowerer:
         self.folds = 0
         self.where_fused = 0
         self.indexed_paths = 0
+
+    def rewrites(self) -> dict[str, int]:
+        """The rewrite counters a plan reports, for the tree lowered so
+        far."""
+        return {
+            "constant-fold": self.folds,
+            "where-to-predicate": self.where_fused,
+            "index-paths": self.indexed_paths,
+        }
 
     def lower(self, node: Expr) -> Op:
         if isinstance(node, Literal):
@@ -2398,9 +2495,14 @@ def _equi_edge(op: Op, positions: dict[str, int]) -> tuple | None:
 # --------------------------------------------------------------------------- #
 
 class Plan:
-    """A compiled query: immutable operator tree + cumulative run stats."""
+    """A compiled query: immutable operator tree + cumulative run stats.
 
-    def __init__(self, source: str, ast: Expr, root: Op,
+    ``ast`` is the parsed query.  A plan bound from a template (see
+    :mod:`repro.xquery.template`) is built without parsing its text, and
+    parses it on first access.
+    """
+
+    def __init__(self, source: str, ast: Expr | None, root: Op,
                  functions: FunctionRegistry, parse_ns: int,
                  compile_ns: int, rewrites: dict[str, int],
                  perturbed: bool = False,
@@ -2409,7 +2511,7 @@ class Plan:
                  statistics_fingerprint: str | None = None,
                  joinless: bool = False) -> None:
         self.source = source
-        self.ast = ast
+        self._ast = ast
         self.root = root
         self.functions = functions
         self.parse_ns = parse_ns
@@ -2432,6 +2534,12 @@ class Plan:
         self.total_nodes_visited = 0
         self.total_index_lookups = 0
         self.last_stats: PlanStats | None = None
+
+    @property
+    def ast(self) -> Expr:
+        if self._ast is None:
+            self._ast = parse_query(self.source)
+        return self._ast
 
     @property
     def fingerprint(self) -> str:
@@ -2695,6 +2803,21 @@ def compile_query(source: str,
     started = time.perf_counter_ns()
     lowerer = _Lowerer(registry, index_paths=not perturb)
     root = lowerer.lower(ast_root)
+    return _finish_plan(source, ast_root, root, registry, parse_ns, started,
+                        lowerer.rewrites(), statistics, perturb,
+                        join_search)
+
+
+def _finish_plan(source: str, ast_root: Expr | None, root: Op,
+                 registry: FunctionRegistry, parse_ns: int, started: int,
+                 rewrites: dict[str, int],
+                 statistics: "Statistics | None", perturb: bool,
+                 join_search: bool) -> Plan:
+    """Cost a freshly lowered tree *root* (when *statistics* is given and
+    the plan is not perturbed) and wrap it in a :class:`Plan` whose
+    compile time runs from *started*.  Shared by :func:`compile_query`
+    and by template binding (:mod:`repro.xquery.template`), so a bound
+    plan is costed exactly as a fresh compile is."""
     cost_info = None
     decisions = None
     statistics_fingerprint = None
@@ -2708,11 +2831,7 @@ def compile_query(source: str,
         joinless = not join_search
     compile_ns = time.perf_counter_ns() - started
     return Plan(source, ast_root, root, registry, parse_ns, compile_ns,
-                rewrites={
-                    "constant-fold": lowerer.folds,
-                    "where-to-predicate": lowerer.where_fused,
-                    "index-paths": lowerer.indexed_paths,
-                },
+                rewrites=rewrites,
                 perturbed=perturb,
                 cost_info=cost_info,
                 decisions=decisions,

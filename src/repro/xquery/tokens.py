@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Final
+from typing import Final, NamedTuple
 
 # Token kinds -------------------------------------------------------------- #
 
@@ -29,14 +28,14 @@ SYMBOLS: Final = ("//", ":=", "!=", "<=", ">=",
                   "=", "<", ">", "+", "-", "*", ".")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token.
+class Token(NamedTuple):
+    """One lexical token: an immutable ``(kind, value, position)`` triple.
 
     ``value`` is the normalized payload: keyword tokens are lowercased,
     variable tokens drop the ``$`` sigil, string tokens are unquoted.
     ``position`` is the 0-based offset of the first character in the source,
-    used for error reporting.
+    used for error reporting.  A named tuple rather than a dataclass
+    because the lexer builds one per token of every query it serves.
     """
 
     kind: str

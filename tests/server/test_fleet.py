@@ -400,6 +400,17 @@ class TestFleetShutdown:
             probe.request("GET", "/healthz")
             probe.getresponse()
 
+    def test_stats_rows_complete_before_any_query(self, testbed):
+        # Construction reads every initial worker's hello, so a stats
+        # call straight after it lists CPU and RSS for each live worker.
+        with WorkerFleet(testbed, workers=2) as fleet:
+            rows = fleet.stats()["per_worker"]
+            assert len(rows) == 2
+            for worker_row in rows:
+                assert worker_row["alive"] is True
+                assert isinstance(worker_row["cpu_s"], float)
+                assert isinstance(worker_row["rss_kb"], int)
+
     def test_stats_block_shape(self, testbed):
         with WorkerFleet(testbed, workers=2) as fleet:
             fleet.run({"xquery": QUERIES[0].xquery})

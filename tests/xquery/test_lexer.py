@@ -1,8 +1,11 @@
 """Lexer unit tests."""
 
+import re
+
 import pytest
 
 from repro.xquery import XQuerySyntaxError, tokenize
+from repro.xquery.lexer import _TOKEN
 from repro.xquery.tokens import (
     EOF,
     KEYWORD,
@@ -141,3 +144,54 @@ class TestPaperQueries:
         with pytest.raises(XQuerySyntaxError) as exc:
             tokenize("$a\n'unterminated")
         assert exc.value.line == 2
+
+
+class TestScanEdges:
+    """Shapes the master pattern hands to the per-character reader, and
+    error offsets; expected values are those of a character-by-character
+    scan."""
+
+    @pytest.mark.parametrize("source, expected", [
+        ("(: a (: b :) c :) $v", [(VARIABLE, "v", 18)]),
+        ("1.5.2", [(NUMBER, "1.5", 0), (SYMBOL, ".", 3), (NUMBER, "2", 4)]),
+        ("12٣ a", [(NUMBER, "12٣", 0), (NAME, "a", 4)]),
+        ("1.x", [(NUMBER, "1", 0), (SYMBOL, ".", 1), (NAME, "x", 2)]),
+        ("x\xa0y", [(NAME, "x", 0), (NAME, "y", 2)]),
+        ("'it''s' \"say \"\"hi\"\"\"",
+         [(STRING, "it's", 0), (STRING, 'say "hi"', 8)]),
+        ("fn:a a:=b", [(NAME, "fn:a", 0), (NAME, "a", 5),
+                       (SYMBOL, ":=", 6), (NAME, "b", 8)]),
+        ("FOR\t$x", [(KEYWORD, "for", 0), (VARIABLE, "x", 4)]),
+    ])
+    def test_tokens_and_positions(self, source, expected):
+        tokens = tokenize(source)
+        assert [(t.kind, t.value, t.position) for t in tokens] \
+            == expected + [(EOF, "", len(source))]
+
+    @pytest.mark.parametrize("source, message, offset", [
+        ("'''", "unterminated string literal", 0),
+        ("  'a''", "unterminated string literal", 2),
+        ('"unterminated', "unterminated string literal", 0),
+        ("x = \t$", "'$' must be followed by a name", 5),
+        ("$1", "'$' must be followed by a name", 0),
+        ("a:b a: b", "unexpected character ':'", 5),
+        ("  \xe9", "unexpected character '\xe9'", 2),
+        ("1 (: open", "unterminated comment", 2),
+    ])
+    def test_errors_and_offsets(self, source, message, offset):
+        with pytest.raises(XQuerySyntaxError) as exc:
+            tokenize(source)
+        assert str(exc.value) == f"{message} (line 1, offset {offset})"
+
+    def test_master_pattern_compiles_before_python_3_11(self):
+        # Possessive repeats and atomic groups came to ``re`` in 3.11;
+        # the package supports 3.10.
+        unescaped = re.sub(r"\\.", "", _TOKEN.pattern)
+        for construct in ("*+", "++", "?+", "}+", "(?>"):
+            assert construct not in unescaped
+
+    def test_long_whitespace_run_before_a_bad_character_is_linear(self):
+        # Each fallback skips a whole whitespace run, so this is one pass.
+        with pytest.raises(XQuerySyntaxError) as exc:
+            tokenize("  " * 50_000 + "#")
+        assert exc.value.column == 100_001
