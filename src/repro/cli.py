@@ -29,12 +29,12 @@ Commands:
   synthesized queries, derived gold answers) and validate every case's
   capability-model prediction against the executed answers before
   writing it.
-* ``perf collect [--scales CSV] [--perf-workers CSV] [--repeats N]
-  [--scenarios PACK_DIR]`` — snapshot per-query plans, timings and
-  cache counters into a schema-stamped JSON file (optionally measuring
-  a generated scenario pack as extra cells); ``perf report --v1 A
-  --v2 B`` diffs two snapshots and exits 1 on plan or timing
-  regressions (the CI ``perf-gate``'s engine).
+* ``perf collect [--scales CSV] [--scenarios PACK_DIR]`` — snapshot
+  per-query plans, cardinalities, per-operator estimates and cache
+  counters into a schema-stamped JSON file (optionally recording a
+  generated scenario pack as an extra cell); ``perf report --v1 A
+  --v2 B`` diffs two snapshots and exits 1 on plan or cost regressions,
+  or when the two share no query (the CI ``perf-gate``'s engine).
 
 Global build options (before the command): ``--seed N``, ``--scale N``
 (catalog multiplier; answers unchanged) and ``--cache-dir DIR`` (on-disk
@@ -212,25 +212,17 @@ def _build_parser() -> argparse.ArgumentParser:
                           "agreement checks (faster; generation only)")
 
     perf = commands.add_parser(
-        "perf", help="plan-quality & performance regression framework")
+        "perf", help="plan regression gate")
     perf_commands = perf.add_subparsers(dest="perf_command", required=True)
 
     collect = perf_commands.add_parser(
         "collect",
-        help="snapshot per-query plans, timings and cache counters")
+        help="snapshot per-query plans, cardinalities and estimates")
     collect.add_argument("--out", metavar="FILE",
                          default="perf-snapshot.json",
                          help="snapshot path (default perf-snapshot.json)")
     collect.add_argument("--scales", metavar="CSV", default="1",
                          help="comma-separated scale tiers (default 1)")
-    collect.add_argument("--perf-workers", metavar="CSV", default="1",
-                         help="comma-separated worker counts per tier "
-                              "(default 1)")
-    collect.add_argument("--repeats", type=int, default=5, metavar="N",
-                         help="measured batches per (query, cell) "
-                              "(default 5)")
-    collect.add_argument("--warmup", type=int, default=1, metavar="N",
-                         help="discarded warmup batches (default 1)")
     collect.add_argument("--label", default="", metavar="S",
                          help="free-form snapshot label")
     collect.add_argument("--perturb", metavar="CSV", default="",
@@ -241,30 +233,18 @@ def _build_parser() -> argparse.ArgumentParser:
                               "against x100-scaled cardinalities — "
                               "identical answers, wrong estimates")
     collect.add_argument("--scenarios", metavar="PACK_DIR", default=None,
-                         help="also measure the synthesized queries of a "
+                         help="also record the synthesized queries of a "
                               "generated scenario pack (thalia gen) as "
-                              "extra cells")
+                              "an extra cell")
 
     report = perf_commands.add_parser(
         "report",
-        help="diff two snapshots; exits 1 on regressions")
+        help="diff two snapshots; exits 1 on regressions or when "
+             "nothing was compared")
     report.add_argument("--v1", required=True, metavar="FILE",
                         help="baseline snapshot")
     report.add_argument("--v2", required=True, metavar="FILE",
                         help="candidate snapshot")
-    report.add_argument("--threshold", type=float, default=None,
-                        metavar="F",
-                        help="median-slowdown gate as a fraction "
-                             "(default 0.25)")
-    report.add_argument("--min-delta-ns", type=int, default=None,
-                        metavar="N",
-                        help="absolute noise floor in ns (default 25000)")
-    report.add_argument("--enforce-timings",
-                        choices=("auto", "always", "never"),
-                        default="auto",
-                        help="gate on timing regressions: auto = only "
-                             "when both snapshots share a host "
-                             "fingerprint (default)")
     report.add_argument("--json", metavar="FILE", default=None,
                         help="also write the machine-readable report")
     return parser
@@ -535,9 +515,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         snapshot = collect_snapshot(
             seed=args.seed,
             scales=_csv_ints(args.scales, "--scales"),
-            workers=_csv_ints(args.perf_workers, "--perf-workers"),
-            repeats=args.repeats,
-            warmup=args.warmup,
             label=args.label,
             perturb=perturb,
             perturb_estimates=perturb_estimates,
@@ -548,8 +525,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                        encoding="utf-8")
         cells = snapshot["cells"]
         print(f"[perf] wrote {out}: {len(cells)} cell(s) x "
-              f"{len(cells[0]['queries'])} queries, "
-              f"repeats={snapshot['meta']['repeats']}"
+              f"{len(cells[0]['queries'])} queries"
               + (f", perturbed={snapshot['meta']['perturbed']}"
                  if snapshot["meta"]["perturbed"] else "")
               + (f", estimate_perturbed="
@@ -563,15 +539,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     except SchemaError as exc:
         print(f"thalia perf report: {exc}", file=sys.stderr)
         return 2
-    enforce = {"auto": None, "always": True, "never": False}[
-        args.enforce_timings]
-    kwargs = {}
-    if args.threshold is not None:
-        kwargs["threshold"] = args.threshold
-    if args.min_delta_ns is not None:
-        kwargs["min_delta_ns"] = args.min_delta_ns
-    report = compare_snapshots(baseline, candidate,
-                               enforce_timings=enforce, **kwargs)
+    report = compare_snapshots(baseline, candidate)
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n",
                                    encoding="utf-8")

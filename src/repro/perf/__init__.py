@@ -1,34 +1,30 @@
-"""Plan-quality & performance regression framework (``thalia perf``).
+"""Plan regression gate (``thalia perf``).
 
 PRs 3–5 each shipped a headline speedup recorded in ad-hoc
-``BENCH_*.json`` files that nothing re-checked.  This package turns
-those one-off reports into a durable regression instrument over the
-twelve-query THALIA workload:
+``BENCH_*.json`` files that nothing re-checked, and nothing noticed when
+a change made the planner pick a different plan.  This package records
+the machine-independent facts of the twelve-query THALIA workload and
+fails when they move:
 
-* :func:`collect_snapshot` measures, per (query × scale tier × worker
-  count), the compiled plan's explain tree and process-stable
-  fingerprints, wall/CPU timings with repeat-and-trim statistics
-  (min/median/p95) and plan/result-cache counters, into a versioned,
-  schema-stamped JSON snapshot (:mod:`repro.perf.schema`);
-* :func:`compare_snapshots` diffs two snapshots into a regression
-  report that separates *plan changes* (explain/fingerprint diffs —
-  always enforced, machine-independent) from *timing changes*
-  (threshold + noise-floor aware, enforced only between snapshots from
-  the same host so CI variance cannot flap the gate);
-* the ``perf-gate`` CI job collects on the PR head and fails on plan
-  regressions or >25 % median slowdowns vs the committed
-  ``PERF_BASELINE.json``.
+* :func:`collect_snapshot` records, per (query × scale tier), the
+  compiled plan's explain tree, its process-stable fingerprints, the
+  result cardinality, per-operator estimated vs. actual rows and the
+  plan/result-cache counters, into a versioned, schema-stamped JSON
+  snapshot (:mod:`repro.perf.schema`);
+* :func:`compare_snapshots` diffs two snapshots into a report of *plan
+  regressions* (explain/fingerprint/cardinality changes) and *cost
+  regressions* (a worst per-operator q-error that grew past the gate);
+  a report that compared no query fails;
+* the ``perf-gate`` CI job collects on the PR head and fails on either
+  family vs the committed ``PERF_BASELINE.json``.
+
+Nothing here times anything: ``perfbench/`` is the timing yardstick.
 
 CLI front door: ``thalia perf collect`` / ``thalia perf report``.
 """
 
-from .collect import collect_snapshot, host_fingerprint
-from .report import (
-    DEFAULT_MIN_DELTA_NS,
-    DEFAULT_THRESHOLD,
-    compare_snapshots,
-    render_report,
-)
+from .collect import collect_snapshot
+from .report import compare_snapshots, render_report
 from .schema import (
     KIND_REPORT,
     KIND_SNAPSHOT,
@@ -43,8 +39,6 @@ from .schema import (
 )
 
 __all__ = [
-    "DEFAULT_MIN_DELTA_NS",
-    "DEFAULT_THRESHOLD",
     "KIND_REPORT",
     "KIND_SNAPSHOT",
     "SCHEMA_NAME",
@@ -52,7 +46,6 @@ __all__ = [
     "SchemaError",
     "collect_snapshot",
     "compare_snapshots",
-    "host_fingerprint",
     "is_stamped",
     "load_document",
     "render_report",

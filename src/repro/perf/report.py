@@ -1,36 +1,23 @@
 """``thalia perf report`` — diff two snapshots into a regression report.
 
-Three regression families, deliberately separated:
+Two regression families, both exact and machine-independent, both
+always enforced:
 
 * **Plan regressions** — the candidate compiled a *different plan* for
   a query the baseline knew: ``plan_fingerprint`` or ``explain_sha256``
-  changed, or the result cardinality moved.  These are exact,
-  machine-independent facts; they always fail the gate, and the report
-  carries a unified diff of the two explain trees so the offending
-  operator choice is visible in the CI log.
-* **Timing regressions** — the candidate's median wall time exceeds the
-  baseline's by more than ``threshold`` (default 25 %).  Timings are
-  noisy, so a regression must clear every damper: the slowdown must
-  exceed each snapshot's own *observed spread* ((p95 − min)/median — a
-  run that varies 30 % against itself cannot prove a 26 % regression),
-  the absolute delta must clear ``min_delta_ns``, the candidate median
-  must sit above the baseline's p95, the candidate's *best* sample must
-  be a full threshold slower than the baseline's best (a real
-  regression slows every execution, not an unlucky subset), and the
-  process-CPU counters must corroborate at least half the wall slowdown
-  (cgroup throttling and scheduler stalls inflate wall but not CPU).
-  Even then, timing findings are only *enforced* between snapshots
-  whose host fingerprints match — cross-host comparisons are reported
-  as informational.
+  changed, or the result cardinality moved.  The report carries a
+  unified diff of the two explain trees so the offending operator
+  choice is visible in the CI log.
 * **Cost regressions** — the planner's cardinality estimates got worse:
   a query row's worst per-operator q-error (``max(est/act, act/est)``
   over the ``operators`` counters an analyzed run recorded) exceeds
   both an absolute gate (:data:`Q_ERROR_FLOOR`) and
-  :data:`Q_ERROR_GROWTH` × the baseline's worst q-error.  Like plan
-  regressions these are exact, machine-independent facts (estimates are
-  pure functions of the statistics; actuals are row counts), so they
-  are always enforced.  Rows without operator counters — snapshots from
-  before the planner — are skipped, keeping old baselines comparable.
+  :data:`Q_ERROR_GROWTH` × the baseline's worst q-error.  Estimates are
+  pure functions of the statistics and actuals are row counts.
+
+A query or cell present on one side only is a *coverage gap*, listed
+but not failing — unless no query is present on both sides, in which
+case the report compared nothing and fails.
 
 ``compare_snapshots`` returns the machine-readable report (itself a
 stamped ``thalia-perf`` document); :func:`render_report` renders the
@@ -44,23 +31,12 @@ import difflib
 from ..xquery.cost import q_error
 from .schema import KIND_REPORT, stamp
 
-DEFAULT_THRESHOLD = 0.25
-DEFAULT_MIN_DELTA_NS = 25_000
-
 #: A candidate row's worst q-error below this never flags: small-result
 #: queries legitimately estimate 4 rows and see 1.
 Q_ERROR_FLOOR = 4.0
 #: ...and it must also be at least this factor worse than the
 #: baseline's worst q-error for the same row.
 Q_ERROR_GROWTH = 2.0
-
-
-def _spread(stats: dict) -> float:
-    """Observed relative noise of one timing block: (p95 - min)/median."""
-    median = stats.get("median") or 0
-    if not median:
-        return 0.0
-    return max(0.0, (stats["p95"] - stats["min"]) / median)
 
 
 def _explain_diff(base_row: dict, cand_row: dict) -> str:
@@ -74,7 +50,7 @@ def _explain_diff(base_row: dict, cand_row: dict) -> str:
 def _worst_q_error(row: dict) -> tuple[float, dict | None]:
     """The row's worst per-operator cardinality-estimate error, with
     the offending operator; ``(0.0, None)`` when the row carries no
-    estimate/actual pairs (pre-planner snapshots)."""
+    estimate/actual pairs."""
     worst = 0.0
     worst_op = None
     for op_row in row.get("operators") or ():
@@ -90,14 +66,13 @@ def _worst_q_error(row: dict) -> tuple[float, dict | None]:
 
 
 def _cell_key(cell: dict) -> tuple:
-    """Cell identity: (scale, workers, scenario pack fingerprint).
+    """Cell identity: (scale, scenario pack fingerprint).
 
     Canonical cells carry no ``scenario`` field (it normalizes to ""),
-    so snapshots from before scenario packs key exactly as they always
-    did; a scenario cell never collides with the canonical cell at the
-    same scale and worker count.
+    so a scenario cell never collides with the canonical cell at the
+    same scale.
     """
-    return (cell["scale"], cell["workers"], cell.get("scenario") or "")
+    return (cell["scale"], cell.get("scenario") or "")
 
 
 def _snapshot_ref(doc: dict) -> dict:
@@ -105,44 +80,26 @@ def _snapshot_ref(doc: dict) -> dict:
     return {
         "label": meta.get("label"),
         "created": meta.get("created"),
-        "host_id": meta.get("host", {}).get("id"),
-        "repeats": meta.get("repeats"),
         "perturbed": meta.get("perturbed", []),
     }
 
 
-def compare_snapshots(baseline: dict, candidate: dict, *,
-                      threshold: float = DEFAULT_THRESHOLD,
-                      min_delta_ns: int = DEFAULT_MIN_DELTA_NS,
-                      enforce_timings: bool | None = None) -> dict:
-    """The regression report for *candidate* measured against *baseline*.
-
-    ``enforce_timings=None`` (auto) enforces timing regressions exactly
-    when both snapshots carry the same host fingerprint; ``True`` /
-    ``False`` force either way.  Plan regressions are always enforced.
-    """
-    base_host = baseline.get("meta", {}).get("host", {}).get("id")
-    cand_host = candidate.get("meta", {}).get("host", {}).get("id")
-    hosts_match = bool(base_host) and base_host == cand_host
-    if enforce_timings is None:
-        enforce_timings = hosts_match
-
+def compare_snapshots(baseline: dict, candidate: dict) -> dict:
+    """The regression report for *candidate* compared against *baseline*."""
     base_cells = {_cell_key(cell): cell
                   for cell in baseline.get("cells", [])}
     cand_cells = {_cell_key(cell): cell
                   for cell in candidate.get("cells", [])}
 
     plan_regressions: list[dict] = []
-    timing_regressions: list[dict] = []
     cost_regressions: list[dict] = []
-    improvements: list[dict] = []
     missing: list[dict] = []
     compared_cells = 0
     compared_queries = 0
 
     for coords in sorted(base_cells.keys() | cand_cells.keys()):
-        scale, workers, scenario = coords
-        cell_ref = {"scale": scale, "workers": workers}
+        scale, scenario = coords
+        cell_ref = {"scale": scale}
         if scenario:
             cell_ref["scenario"] = scenario
         base_cell = base_cells.get(coords)
@@ -212,58 +169,14 @@ def compare_snapshots(baseline: dict, candidate: dict, *,
                         "actual_rows": cand_op.get("actual_rows"),
                     })
 
-            base_wall = base_row["wall_ns"]
-            cand_wall = cand_row["wall_ns"]
-            base_median = base_wall["median"]
-            cand_median = cand_wall["median"]
-            if not base_median:
-                continue
-            ratio = cand_median / base_median - 1.0
-            noise = max(_spread(base_wall), _spread(cand_wall))
-            delta_ns = cand_median - base_median
-            entry = {
-                **where,
-                "baseline_median_ns": base_median,
-                "candidate_median_ns": cand_median,
-                "delta_ns": delta_ns,
-                "slowdown": round(ratio, 4),
-                "noise_floor": round(noise, 4),
-            }
-            base_cpu = base_row.get("cpu_ns", {}).get("median", 0)
-            cand_cpu = cand_row.get("cpu_ns", {}).get("median", 0)
-            cpu_ratio = (cand_cpu / base_cpu - 1.0) if base_cpu else ratio
-            entry["cpu_slowdown"] = round(cpu_ratio, 4)
-            # A real regression moves the whole distribution, not just
-            # one unlucky median: the candidate's median must clear the
-            # baseline's p95, its *best* run must be slower than the
-            # baseline's best, and the CPU counters must corroborate at
-            # least half the wall slowdown.  Scheduler stalls and cgroup
-            # throttling inflate wall time but not process CPU, so they
-            # fail the corroboration test; a plan that genuinely got
-            # >25 % more expensive burns the CPU to prove it.
-            if ratio > threshold and ratio > noise \
-                    and delta_ns > min_delta_ns \
-                    and cand_median > base_wall["p95"] \
-                    and cand_wall["min"] > base_wall["min"] * (1 + threshold) \
-                    and cpu_ratio > threshold / 2:
-                timing_regressions.append(entry)
-            elif ratio < -threshold and -delta_ns > min_delta_ns:
-                improvements.append(entry)
-
-    ok = not plan_regressions and not cost_regressions and \
-        (not enforce_timings or not timing_regressions)
+    ok = compared_queries > 0 and not plan_regressions \
+        and not cost_regressions
     return stamp(KIND_REPORT, {
         "baseline": _snapshot_ref(baseline),
         "candidate": _snapshot_ref(candidate),
-        "threshold": threshold,
-        "min_delta_ns": min_delta_ns,
-        "hosts_match": hosts_match,
-        "timings_enforced": bool(enforce_timings),
         "compared": {"cells": compared_cells, "queries": compared_queries},
         "plan_regressions": plan_regressions,
-        "timing_regressions": timing_regressions,
         "cost_regressions": cost_regressions,
-        "improvements": improvements,
         "missing": missing,
         "ok": ok,
     })
@@ -273,8 +186,11 @@ def compare_snapshots(baseline: dict, candidate: dict, *,
 # Human rendering
 # --------------------------------------------------------------------------- #
 
-def _fmt_ms(ns: int) -> str:
-    return f"{ns / 1e6:8.3f}"
+def _cell_label(entry: dict) -> str:
+    label = f"scale={entry['scale']}"
+    if entry.get("scenario"):
+        label += f" scenario={entry['scenario'][:12]}"
+    return label
 
 
 def render_report(report: dict) -> str:
@@ -282,71 +198,46 @@ def render_report(report: dict) -> str:
     lines = []
     base, cand = report["baseline"], report["candidate"]
     lines.append(f"perf report: {base.get('label')} -> {cand.get('label')}")
-    lines.append(f"  compared {report['compared']['queries']} query cells "
-                 f"across {report['compared']['cells']} "
-                 f"(scale x workers) tiers; "
-                 f"threshold {report['threshold']:.0%}, "
-                 f"timings {'enforced' if report['timings_enforced'] else 'informational (hosts differ)'}")
+    compared = report["compared"]
+    lines.append(f"  compared {compared['queries']} queries across "
+                 f"{compared['cells']} cell(s)")
+    if not compared["queries"]:
+        lines.append("")
+        lines.append("NOTHING COMPARED: no query appears in a cell of "
+                     "both snapshots (check --scales and --scenarios)")
 
     plan_regressions = report["plan_regressions"]
-    timing_regressions = report["timing_regressions"]
     if plan_regressions:
         lines.append("")
         lines.append(f"PLAN REGRESSIONS ({len(plan_regressions)}):")
         for entry in plan_regressions:
-            lines.append(f"  {entry['query']} "
-                         f"[scale={entry['scale']} "
-                         f"workers={entry['workers']}]: {entry['kind']}")
+            lines.append(f"  {entry['query']} [{_cell_label(entry)}]: "
+                         f"{entry['kind']}")
             diff = entry.get("explain_diff")
             if diff:
                 lines.extend("    " + line for line in diff.splitlines())
             if entry["kind"] == "results-changed":
                 lines.append(f"    items {entry['baseline_items']} -> "
                              f"{entry['candidate_items']}")
-    cost_regressions = report.get("cost_regressions", [])
+    cost_regressions = report["cost_regressions"]
     if cost_regressions:
         lines.append("")
         lines.append(f"COST REGRESSIONS ({len(cost_regressions)}):")
         for entry in cost_regressions:
             lines.append(
-                f"  {entry['query']} [scale={entry['scale']} "
-                f"workers={entry['workers']}]: worst q-error "
+                f"  {entry['query']} [{_cell_label(entry)}]: worst q-error "
                 f"{entry['baseline_q_error']} -> "
                 f"{entry['candidate_q_error']}")
             lines.append(
                 f"    at {entry.get('operator')}: est "
                 f"{entry.get('est_rows')} rows, actual "
                 f"{entry.get('actual_rows')}")
-    if timing_regressions:
-        lines.append("")
-        verdict = "TIMING REGRESSIONS" if report["timings_enforced"] \
-            else "timing changes (informational)"
-        lines.append(f"{verdict} ({len(timing_regressions)}):")
-        lines.append("   query  scale workers   baseline ms  candidate ms"
-                     "   slower   noise")
-        for entry in timing_regressions:
-            lines.append(
-                f"  {entry['query']:>6} {entry['scale']:>6} "
-                f"{entry['workers']:>7}  {_fmt_ms(entry['baseline_median_ns'])}"
-                f"     {_fmt_ms(entry['candidate_median_ns'])}"
-                f"  {entry['slowdown']:+7.1%} {entry['noise_floor']:7.1%}")
-    if report["improvements"]:
-        lines.append("")
-        lines.append(f"improvements ({len(report['improvements'])}):")
-        for entry in report["improvements"]:
-            lines.append(
-                f"  {entry['query']:>6} [scale={entry['scale']} "
-                f"workers={entry['workers']}] "
-                f"{_fmt_ms(entry['baseline_median_ns'])} -> "
-                f"{_fmt_ms(entry['candidate_median_ns'])} ms "
-                f"({entry['slowdown']:+.1%})")
     if report["missing"]:
         lines.append("")
         lines.append(f"coverage gaps ({len(report['missing'])}):")
         for entry in report["missing"]:
             what = entry.get("query", "whole cell")
-            lines.append(f"  scale={entry['scale']} "
-                         f"workers={entry['workers']} {what}: "
+            lines.append(f"  {_cell_label(entry)} {what}: "
                          f"absent from {entry['missing_from']}")
     lines.append("")
     lines.append("verdict: OK — no regressions" if report["ok"]
@@ -355,8 +246,6 @@ def render_report(report: dict) -> str:
 
 
 __all__ = [
-    "DEFAULT_MIN_DELTA_NS",
-    "DEFAULT_THRESHOLD",
     "Q_ERROR_FLOOR",
     "Q_ERROR_GROWTH",
     "compare_snapshots",

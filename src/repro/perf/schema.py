@@ -8,8 +8,9 @@ three-field header::
 Two kinds exist:
 
 * ``snapshot`` — what ``thalia perf collect`` writes: per
-  (query × scale × workers) plan explains, fingerprints, timing
-  statistics and cache counters.  Fully validated field by field.
+  (query × scale) plan explains, fingerprints, cardinalities,
+  per-operator estimate/actual counters and cache counters.  Fully
+  validated field by field.
 * ``report`` — what ``thalia perf report`` emits.
 
 A document without the header fails validation.
@@ -27,9 +28,6 @@ KIND_SNAPSHOT = "snapshot"
 KIND_REPORT = "report"
 
 _KINDS = (KIND_SNAPSHOT, KIND_REPORT)
-
-#: Statistics every timing block must provide, in canonical order.
-STAT_KEYS = ("min", "median", "p95", "mean")
 
 
 class SchemaError(ValueError):
@@ -137,22 +135,6 @@ def _is_hex(value: object) -> bool:
         and all(c in "0123456789abcdef" for c in value)
 
 
-def _validate_stats_block(block: object, where: str,
-                          problems: list[str]) -> None:
-    if not _check(problems, isinstance(block, dict),
-                  f"{where}: not an object"):
-        return
-    for key in STAT_KEYS:
-        value = block.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or value < 0:
-            problems.append(f"{where}.{key}: missing or negative")
-    if all(isinstance(block.get(k), (int, float)) for k in
-           ("min", "median", "p95")):
-        if not block["min"] <= block["median"] <= block["p95"]:
-            problems.append(f"{where}: expected min <= median <= p95")
-
-
 def _validate_snapshot(doc: dict) -> list[str]:
     problems: list[str] = []
     meta = doc.get("meta")
@@ -160,16 +142,8 @@ def _validate_snapshot(doc: dict) -> list[str]:
         for key in ("label", "created"):
             _check(problems, isinstance(meta.get(key), str),
                    f"meta.{key}: missing or not a string")
-        for key in ("seed", "repeats", "warmup"):
-            _check(problems, _is_int(meta.get(key)),
-                   f"meta.{key}: missing or not a non-negative integer")
-        _check(problems, _is_int(meta.get("repeats"), minimum=1),
-               "meta.repeats: must be >= 1")
-        host = meta.get("host")
-        if _check(problems, isinstance(host, dict), "meta.host: missing"):
-            for key in ("id", "platform", "python"):
-                _check(problems, isinstance(host.get(key), str),
-                       f"meta.host.{key}: missing or not a string")
+        _check(problems, _is_int(meta.get("seed")),
+               "meta.seed: missing or not a non-negative integer")
         _check(problems, isinstance(meta.get("perturbed"), list),
                "meta.perturbed: missing or not a list")
     cells = doc.get("cells")
@@ -182,9 +156,8 @@ def _validate_snapshot(doc: dict) -> list[str]:
         if not _check(problems, isinstance(cell, dict),
                       f"{where}: not an object"):
             continue
-        for key in ("scale", "workers"):
-            _check(problems, _is_int(cell.get(key), minimum=1),
-                   f"{where}.{key}: missing or not a positive integer")
+        _check(problems, _is_int(cell.get("scale"), minimum=1),
+               f"{where}.scale: missing or not a positive integer")
         _check(problems, _is_hex(cell.get("content_fingerprint")),
                f"{where}.content_fingerprint: not a sha256 hex digest")
         if cell.get("scenario") is not None:
@@ -192,15 +165,13 @@ def _validate_snapshot(doc: dict) -> list[str]:
                    f"{where}.scenario: not a pack fingerprint "
                    f"(sha256 hex digest)")
         # Scenario cells (replays of a generated pack) coexist with the
-        # canonical cell at the same (scale, workers); the pack
-        # fingerprint is part of the cell's identity.
-        coords = (cell.get("scale"), cell.get("workers"),
-                  cell.get("scenario"))
+        # canonical cell at the same scale; the pack fingerprint is part
+        # of the cell's identity.
+        coords = (cell.get("scale"), cell.get("scenario"))
         if coords in seen_cells:
             problems.append(
-                f"{where}: duplicate cell "
-                f"scale={coords[0]} workers={coords[1]}"
-                + (f" scenario={coords[2]}" if coords[2] else ""))
+                f"{where}: duplicate cell scale={coords[0]}"
+                + (f" scenario={coords[1]}" if coords[1] else ""))
         seen_cells.add(coords)
         caches = cell.get("caches")
         if _check(problems, isinstance(caches, dict),
@@ -230,27 +201,15 @@ def _validate_snapshot(doc: dict) -> list[str]:
                    f"{qwhere}.items: missing or negative")
             _check(problems, isinstance(row.get("rewrites"), dict),
                    f"{qwhere}.rewrites: missing")
-            # Planner-era additions are optional (snapshots written
-            # before the cost-based planner carry none of them; same
-            # schema version, following the scenario-cell precedent) but
-            # must be well-typed when present.
-            if "operators" in row:
-                if _check(problems, isinstance(row["operators"], list),
-                          f"{qwhere}.operators: not a list"):
-                    for opos, op_row in enumerate(row["operators"]):
-                        _check(problems, isinstance(op_row, dict),
-                               f"{qwhere}.operators[{opos}]: "
-                               f"not an object")
-            if "costed" in row:
-                _check(problems, isinstance(row["costed"], bool),
-                       f"{qwhere}.costed: not a boolean")
-            if "decisions" in row:
-                _check(problems, isinstance(row["decisions"], dict),
-                       f"{qwhere}.decisions: not an object")
-            _validate_stats_block(row.get("wall_ns"),
-                                  f"{qwhere}.wall_ns", problems)
-            _validate_stats_block(row.get("cpu_ns"),
-                                  f"{qwhere}.cpu_ns", problems)
+            _check(problems, isinstance(row.get("costed"), bool),
+                   f"{qwhere}.costed: missing or not a boolean")
+            _check(problems, isinstance(row.get("decisions"), dict),
+                   f"{qwhere}.decisions: missing or not an object")
+            if _check(problems, isinstance(row.get("operators"), list),
+                      f"{qwhere}.operators: missing or not a list"):
+                for opos, op_row in enumerate(row["operators"]):
+                    _check(problems, isinstance(op_row, dict),
+                           f"{qwhere}.operators[{opos}]: not an object")
     return problems
 
 
@@ -259,14 +218,9 @@ def _validate_report(doc: dict) -> list[str]:
     for key in ("baseline", "candidate"):
         _check(problems, isinstance(doc.get(key), dict),
                f"{key}: missing snapshot summary")
-    for key in ("plan_regressions", "timing_regressions", "improvements"):
+    for key in ("plan_regressions", "cost_regressions", "missing"):
         _check(problems, isinstance(doc.get(key), list),
                f"{key}: missing list")
-    # Reports written before the cost gate have no cost_regressions
-    # list; when present it must be a list.
-    if "cost_regressions" in doc:
-        _check(problems, isinstance(doc["cost_regressions"], list),
-               "cost_regressions: not a list")
     _check(problems, isinstance(doc.get("ok"), bool),
            "ok: missing verdict")
     return problems
@@ -284,13 +238,10 @@ def summarize_snapshot(doc: dict, path: str | Path | None = None) -> dict:
         "schema_version": doc.get("schema_version"),
         "label": meta.get("label"),
         "created": meta.get("created"),
-        "host_id": meta.get("host", {}).get("id"),
         "seed": meta.get("seed"),
-        "repeats": meta.get("repeats"),
         "cells": [
             {
                 "scale": cell.get("scale"),
-                "workers": cell.get("workers"),
                 "queries": len(cell.get("queries", [])),
                 **({"scenario": cell["scenario"]}
                    if cell.get("scenario") else {}),
@@ -305,7 +256,6 @@ __all__ = [
     "KIND_SNAPSHOT",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
-    "STAT_KEYS",
     "SchemaError",
     "is_stamped",
     "load_document",

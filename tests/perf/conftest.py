@@ -1,9 +1,10 @@
 """Builders for hand-made perf snapshots.
 
 The report math is pure dict-in dict-out, so the diff-detection tests
-construct tiny synthetic snapshots with exactly the timing shapes they
-need instead of measuring anything.  Every helper returns documents that
-pass :func:`repro.perf.schema.validate_document` — the tests assert so.
+construct tiny synthetic snapshots with exactly the plan shapes they
+need instead of collecting anything.  Every helper returns documents
+that pass :func:`repro.perf.schema.validate_document` — the tests assert
+so.
 """
 
 import hashlib
@@ -16,23 +17,10 @@ def hexdigest(seed: str) -> str:
     return hashlib.sha256(seed.encode("utf-8")).hexdigest()
 
 
-def stats_block(minimum, median, p95, mean=None, samples=9):
-    return {
-        "min": minimum,
-        "median": median,
-        "p95": p95,
-        "mean": mean if mean is not None else median,
-        "samples": samples,
-    }
-
-
-def make_row(query="Q1", *, explain=None, wall=(100_000, 110_000, 120_000),
-             cpu=None, items=3, perturbed=False):
-    """One per-query snapshot row.  ``wall``/``cpu`` are (min, median,
-    p95) nanosecond triples; cpu defaults to tracking wall."""
+def make_row(query="Q1", *, explain=None, items=3, perturbed=False):
+    """One per-query snapshot row."""
     explain = explain if explain is not None \
         else f"plan for {query}\n  scan docs"
-    cpu = cpu if cpu is not None else wall
     return {
         "query": query,
         "perturbed": perturbed,
@@ -40,16 +28,16 @@ def make_row(query="Q1", *, explain=None, wall=(100_000, 110_000, 120_000),
         "explain_sha256": hexdigest(f"explain:{explain}"),
         "explain": explain,
         "rewrites": {},
+        "costed": True,
+        "decisions": {},
+        "operators": [],
         "items": items,
-        "wall_ns": stats_block(*wall),
-        "cpu_ns": stats_block(*cpu),
     }
 
 
-def make_cell(rows, *, scale=1, workers=1):
+def make_cell(rows, *, scale=1):
     return {
         "scale": scale,
-        "workers": workers,
         "content_fingerprint": hexdigest(f"content:scale={scale}"),
         "queries": rows,
         "caches": {
@@ -60,9 +48,7 @@ def make_cell(rows, *, scale=1, workers=1):
     }
 
 
-def make_snapshot(cells, *, label="fixture", host_id=None,
-                  perturbed=(), repeats=3):
-    host_id = host_id if host_id is not None else hexdigest("host:fixture")
+def make_snapshot(cells, *, label="fixture", perturbed=()):
     return {
         "schema": "thalia-perf",
         "schema_version": 1,
@@ -70,17 +56,7 @@ def make_snapshot(cells, *, label="fixture", host_id=None,
         "meta": {
             "label": label,
             "created": "2026-01-01T00:00:00Z",
-            "host": {
-                "id": host_id,
-                "platform": "fixture-os",
-                "machine": "fixture-arch",
-                "python": "3.11.0",
-                "implementation": "CPython",
-                "cpu_count": 1,
-            },
             "seed": 2004,
-            "repeats": repeats,
-            "warmup": 1,
             "queries": len(cells[0]["queries"]) if cells else 0,
             "perturbed": sorted(perturbed),
             "argv_hint": "tests",
@@ -94,6 +70,5 @@ def baseline_snapshot():
     """Two queries, one cell — the canonical fixture baseline."""
     return make_snapshot([make_cell([
         make_row("Q1"),
-        make_row("Q2", explain="plan for Q2\n  index lookup",
-                 wall=(200_000, 210_000, 225_000)),
+        make_row("Q2", explain="plan for Q2\n  index lookup"),
     ])])

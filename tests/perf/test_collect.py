@@ -1,52 +1,21 @@
-"""The real collector: schema-valid output, self-comparison, perturb."""
+"""The real collector: schema-valid output, self-comparison, perturb,
+and the committed baseline gate."""
+
+from pathlib import Path
 
 import pytest
 
-from repro.perf.collect import (
-    EXECUTIONS_PER_BATCH,
-    _stats_ns,
-    collect_snapshot,
-    host_fingerprint,
-)
+from repro.perf.collect import collect_snapshot
 from repro.perf.report import compare_snapshots
-from repro.perf.schema import validate_document
+from repro.perf.schema import KIND_SNAPSHOT, load_document, validate_document
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
 @pytest.fixture(scope="module")
 def collected():
-    """One cheap real measurement shared by the whole module."""
-    return collect_snapshot(scales=(1,), workers=(1,), repeats=2,
-                            label="test-collect")
-
-
-class TestStats:
-    def test_single_sample(self):
-        stats = _stats_ns([7])
-        assert stats == {"min": 7, "median": 7, "p95": 7, "mean": 7,
-                         "samples": 1}
-
-    def test_even_count_median_averages(self):
-        assert _stats_ns([10, 20, 30, 40])["median"] == 25
-
-    def test_p95_nearest_rank(self):
-        samples = list(range(1, 101))
-        assert _stats_ns(samples)["p95"] == 95
-        assert _stats_ns([1, 2, 3])["p95"] == 3
-
-    def test_ordering_invariant(self):
-        stats = _stats_ns([500, 100, 300, 200, 400])
-        assert stats["min"] <= stats["median"] <= stats["p95"]
-
-
-class TestHostFingerprint:
-    def test_stable_within_process(self):
-        assert host_fingerprint() == host_fingerprint()
-
-    def test_id_digests_the_facts(self):
-        host = host_fingerprint()
-        assert len(host["id"]) == 64
-        assert host["platform"]
-        assert host["cpu_count"] >= 1
+    """One cheap real collection shared by the whole module."""
+    return collect_snapshot(scales=(1,), label="test-collect")
 
 
 class TestCollect:
@@ -57,13 +26,8 @@ class TestCollect:
         [cell] = collected["cells"]
         assert [row["query"] for row in cell["queries"]] \
             == [f"Q{n}" for n in range(1, 13)]
-        assert (cell["scale"], cell["workers"]) == (1, 1)
-
-    def test_sample_counts(self, collected):
-        for row in collected["cells"][0]["queries"]:
-            assert row["wall_ns"]["samples"] \
-                == 2 * 1 * EXECUTIONS_PER_BATCH
-            assert not row["perturbed"]
+        assert cell["scale"] == 1
+        assert not any(row["perturbed"] for row in cell["queries"])
 
     def test_cache_counters_recorded(self, collected):
         caches = collected["cells"][0]["caches"]
@@ -74,16 +38,11 @@ class TestCollect:
         assert caches["result_cache"]["hits"] == 12
 
     def test_self_report_is_clean(self, collected):
-        """collect → report(A, A): zero regressions, enforced timings."""
+        """collect → report(A, A): zero regressions."""
         report = compare_snapshots(collected, collected)
         assert report["ok"]
         assert report["plan_regressions"] == []
-        assert report["timing_regressions"] == []
-        assert report["timings_enforced"]
-
-    def test_repeats_validated(self):
-        with pytest.raises(ValueError):
-            collect_snapshot(repeats=0)
+        assert report["cost_regressions"] == []
 
     def test_unknown_perturb_target_rejected(self):
         with pytest.raises(ValueError, match="Q99"):
@@ -92,8 +51,8 @@ class TestCollect:
 
 class TestPerturb:
     def test_perturbed_query_changes_plan_not_results(self, collected):
-        perturbed = collect_snapshot(scales=(1,), workers=(1,), repeats=1,
-                                     label="perturbed", perturb=("Q5",))
+        perturbed = collect_snapshot(scales=(1,), label="perturbed",
+                                     perturb=("Q5",))
         assert validate_document(perturbed) == []
         assert perturbed["meta"]["perturbed"] == ["Q5"]
         rows = {row["query"]: row
@@ -101,8 +60,7 @@ class TestPerturb:
         assert rows["Q5"]["perturbed"]
         assert "perturbed: index-paths disabled" in rows["Q5"]["explain"]
 
-        report = compare_snapshots(collected, perturbed,
-                                   enforce_timings=False)
+        report = compare_snapshots(collected, perturbed)
         assert not report["ok"]
         plan_hits = {entry["query"]
                      for entry in report["plan_regressions"]}
@@ -114,3 +72,36 @@ class TestPerturb:
         # finding, so cardinalities agreed everywhere.
         assert all(e["kind"] == "plan-changed"
                    for e in report["plan_regressions"])
+
+
+class TestCommittedBaseline:
+    """The CI plan gate, run here: a fresh scale-4 collection against the
+    committed ``PERF_BASELINE.json``."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return load_document(REPO_ROOT / "PERF_BASELINE.json",
+                             expect_kind=KIND_SNAPSHOT)
+
+    def test_head_matches_the_baseline(self, baseline):
+        report = compare_snapshots(
+            baseline, collect_snapshot(scales=(4,), label="head"))
+        assert report["ok"], report
+        assert report["compared"]["queries"] == 12
+        assert report["missing"] == []
+
+    def test_perturbed_plan_fails_naming_q5(self, baseline):
+        report = compare_snapshots(baseline, collect_snapshot(
+            scales=(4,), label="perturbed", perturb=("Q5",)))
+        assert not report["ok"]
+        assert [(entry["query"], entry["kind"])
+                for entry in report["plan_regressions"]] \
+            == [("Q5", "plan-changed")]
+
+    def test_perturbed_estimates_fail_naming_q5(self, baseline):
+        report = compare_snapshots(baseline, collect_snapshot(
+            scales=(4,), label="est-perturbed", perturb_estimates=("Q5",)))
+        assert not report["ok"]
+        assert [(entry["query"], entry["kind"])
+                for entry in report["cost_regressions"]] \
+            == [("Q5", "estimate-error")]

@@ -14,14 +14,12 @@ from repro.perf.schema import validate_document
 
 @pytest.fixture(scope="module")
 def clean():
-    return collect_snapshot(scales=(1,), workers=(1,), repeats=1,
-                            label="planner-clean")
+    return collect_snapshot(scales=(1,), label="planner-clean")
 
 
 @pytest.fixture(scope="module")
 def estimate_perturbed():
-    return collect_snapshot(scales=(1,), workers=(1,), repeats=1,
-                            label="planner-perturbed",
+    return collect_snapshot(scales=(1,), label="planner-perturbed",
                             perturb_estimates=("Q5",))
 
 
@@ -53,8 +51,8 @@ class TestOperatorCells:
 
     def test_unknown_injection_target_rejected(self):
         with pytest.raises(ValueError):
-            collect_snapshot(scales=(1,), workers=(1,), repeats=1,
-                             label="bad", perturb_estimates=("Q99",))
+            collect_snapshot(scales=(1,), label="bad",
+                             perturb_estimates=("Q99",))
 
 
 class TestCostGate:

@@ -20,8 +20,8 @@ def pack_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def collected(pack_dir):
     directory, _ = pack_dir
-    return collect_snapshot(scales=(1,), workers=(1,), repeats=1,
-                            label="with-scenarios", scenarios=directory)
+    return collect_snapshot(scales=(1,), label="with-scenarios",
+                            scenarios=directory)
 
 
 class TestScenarioCells:
@@ -46,18 +46,16 @@ class TestScenarioCells:
         assert [cell["scenario"] for cell in tagged] == [fingerprint]
 
     def test_self_report_keys_cells_by_scenario(self, collected):
-        """compare_snapshots must not conflate the canonical (1, 1) cell
-        with the scenario (1, 1) cell."""
+        """compare_snapshots must not conflate the canonical scale-1 cell
+        with the scenario scale-1 cell."""
         report = compare_snapshots(collected, collected)
         assert report["ok"]
         assert report["compared"]["cells"] == 2
         assert report["missing"] == []
 
     def test_baseline_without_scenarios_still_compares(self, collected):
-        plain = collect_snapshot(scales=(1,), workers=(1,), repeats=1,
-                                 label="plain")
-        report = compare_snapshots(plain, collected,
-                                   enforce_timings=False)
+        plain = collect_snapshot(scales=(1,), label="plain")
+        report = compare_snapshots(plain, collected)
         # The canonical cell matches; the scenario cell is candidate-only,
         # reported as a coverage gap rather than a regression.
         assert report["compared"]["cells"] == 1

@@ -16,27 +16,22 @@ def _hex(seed):
 
 def tiny_snapshot(label="committed"):
     """The smallest snapshot that passes full schema validation."""
-    block = {"min": 100_000, "median": 110_000, "p95": 120_000,
-             "mean": 110_000, "samples": 9}
     return {
         "schema": "thalia-perf", "schema_version": 1, "kind": "snapshot",
         "meta": {
             "label": label, "created": "2026-01-01T00:00:00Z",
-            "host": {"id": _hex("host"), "platform": "test",
-                     "machine": "test", "python": "3.11.0",
-                     "implementation": "CPython", "cpu_count": 1},
-            "seed": 2004, "repeats": 3, "warmup": 1, "queries": 1,
+            "seed": 2004, "queries": 1,
             "perturbed": [], "argv_hint": "tests",
         },
         "cells": [{
-            "scale": 1, "workers": 1,
+            "scale": 1,
             "content_fingerprint": _hex("content"),
             "queries": [{
                 "query": "Q1", "perturbed": False,
                 "plan_fingerprint": _hex("plan"),
                 "explain_sha256": _hex("explain"),
                 "explain": "plan for Q1", "rewrites": {}, "items": 3,
-                "wall_ns": dict(block), "cpu_ns": dict(block),
+                "costed": True, "decisions": {}, "operators": [],
             }],
             "caches": {"plan_cache": {}, "result_cache": {}},
         }],
@@ -78,8 +73,11 @@ class TestPerfBlock:
         path.write_text(json.dumps(snapshot), encoding="utf-8")
         perf = stats(make_app(path))["perf"]
         assert perf["baseline"] == str(path)
-        assert perf["label"] == "committed"
-        assert perf["cells"] == [{"scale": 1, "workers": 1, "queries": 1}]
+        assert perf == {
+            "baseline": str(path), "path": str(path), "schema_version": 1,
+            "label": "committed", "created": "2026-01-01T00:00:00Z",
+            "seed": 2004, "cells": [{"scale": 1, "queries": 1}],
+        }
 
     def test_invalid_snapshot_flagged_not_fatal(self, make_app, tmp_path):
         path = tmp_path / "broken.json"
