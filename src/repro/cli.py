@@ -29,12 +29,6 @@ Commands:
   synthesized queries, derived gold answers) and validate every case's
   capability-model prediction against the executed answers before
   writing it.
-* ``perf collect [--scales CSV] [--scenarios PACK_DIR]`` — snapshot
-  per-query plans, cardinalities, per-operator estimates and cache
-  counters into a schema-stamped JSON file (optionally recording a
-  generated scenario pack as an extra cell); ``perf report --v1 A
-  --v2 B`` diffs two snapshots and exits 1 on plan or cost regressions,
-  or when the two share no query (the CI ``perf-gate``'s engine).
 
 Global build options (before the command): ``--seed N``, ``--scale N``
 (catalog multiplier; answers unchanged) and ``--cache-dir DIR`` (on-disk
@@ -160,10 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="threads executing /api/query/batch items, "
                             "which also bounds how many items of one "
                             "batch wait on the fleet at once (default 4)")
-    serve.add_argument("--perf-baseline", metavar="FILE", default=None,
-                       help="perf snapshot linked from /api/stats "
-                            "(default: $THALIA_PERF_BASELINE or "
-                            "PERF_BASELINE.json)")
     serve.add_argument("--fleet", type=int, default=0, metavar="N",
                        help="execute /api/query[/batch] result-cache "
                             "misses on N worker processes, with admission "
@@ -211,42 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="skip the capability-model and executed-query "
                           "agreement checks (faster; generation only)")
 
-    perf = commands.add_parser(
-        "perf", help="plan regression gate")
-    perf_commands = perf.add_subparsers(dest="perf_command", required=True)
-
-    collect = perf_commands.add_parser(
-        "collect",
-        help="snapshot per-query plans, cardinalities and estimates")
-    collect.add_argument("--out", metavar="FILE",
-                         default="perf-snapshot.json",
-                         help="snapshot path (default perf-snapshot.json)")
-    collect.add_argument("--scales", metavar="CSV", default="1",
-                         help="comma-separated scale tiers (default 1)")
-    collect.add_argument("--label", default="", metavar="S",
-                         help="free-form snapshot label")
-    collect.add_argument("--perturb", metavar="CSV", default="",
-                         help="test-only: compile these queries (Q3,Q7) "
-                              "with the index-path rewrite disabled")
-    collect.add_argument("--perturb-estimates", metavar="CSV", default="",
-                         help="test-only: plan these queries (Q3,Q7) "
-                              "against x100-scaled cardinalities — "
-                              "identical answers, wrong estimates")
-    collect.add_argument("--scenarios", metavar="PACK_DIR", default=None,
-                         help="also record the synthesized queries of a "
-                              "generated scenario pack (thalia gen) as "
-                              "an extra cell")
-
-    report = perf_commands.add_parser(
-        "report",
-        help="diff two snapshots; exits 1 on regressions or when "
-             "nothing was compared")
-    report.add_argument("--v1", required=True, metavar="FILE",
-                        help="baseline snapshot")
-    report.add_argument("--v2", required=True, metavar="FILE",
-                        help="candidate snapshot")
-    report.add_argument("--json", metavar="FILE", default=None,
-                        help="also write the machine-readable report")
     return parser
 
 
@@ -363,7 +317,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fleet = WorkerFleet(testbed, workers=args.fleet)
     app = ThaliaApp(testbed=testbed, store=store,
                     query_workers=args.query_workers,
-                    perf_baseline=args.perf_baseline,
                     fleet=fleet)
     server = ThaliaServer(app, host=args.host, port=args.port,
                           pool_size=args.http_threads)
@@ -484,69 +437,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _csv_ints(text: str, option: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"thalia perf: {option} must be a "
-                         f"comma-separated list of integers, got {text!r}")
-    if not values or any(value < 1 for value in values):
-        raise SystemExit(f"thalia perf: {option} needs positive integers")
-    return values
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from .perf import (
-        collect_snapshot,
-        compare_snapshots,
-        load_document,
-        render_report,
-    )
-    from .perf.schema import KIND_SNAPSHOT, SchemaError
-
-    if args.perf_command == "collect":
-        perturb = [name for name in args.perturb.split(",") if name.strip()]
-        perturb_estimates = [name for name
-                             in args.perturb_estimates.split(",")
-                             if name.strip()]
-        snapshot = collect_snapshot(
-            seed=args.seed,
-            scales=_csv_ints(args.scales, "--scales"),
-            label=args.label,
-            perturb=perturb,
-            perturb_estimates=perturb_estimates,
-            scenarios=args.scenarios,
-            progress=lambda message: print(f"[perf] {message}"))
-        out = Path(args.out)
-        out.write_text(json.dumps(snapshot, indent=2) + "\n",
-                       encoding="utf-8")
-        cells = snapshot["cells"]
-        print(f"[perf] wrote {out}: {len(cells)} cell(s) x "
-              f"{len(cells[0]['queries'])} queries"
-              + (f", perturbed={snapshot['meta']['perturbed']}"
-                 if snapshot["meta"]["perturbed"] else "")
-              + (f", estimate_perturbed="
-                 f"{snapshot['meta']['estimate_perturbed']}"
-                 if snapshot["meta"].get("estimate_perturbed") else ""))
-        return 0
-
-    try:
-        baseline = load_document(args.v1, expect_kind=KIND_SNAPSHOT)
-        candidate = load_document(args.v2, expect_kind=KIND_SNAPSHOT)
-    except SchemaError as exc:
-        print(f"thalia perf report: {exc}", file=sys.stderr)
-        return 2
-    report = compare_snapshots(baseline, candidate)
-    if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2) + "\n",
-                                   encoding="utf-8")
-    print(render_report(report))
-    return 0 if report["ok"] else 1
-
-
 _COMMANDS = {
     "testbed": _cmd_testbed,
     "build": _cmd_testbed,
@@ -562,7 +452,6 @@ _COMMANDS = {
     "bundle": _cmd_bundle,
     "sources": _cmd_sources,
     "gen": _cmd_gen,
-    "perf": _cmd_perf,
 }
 
 

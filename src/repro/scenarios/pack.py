@@ -19,7 +19,7 @@ Everything is text, nothing carries a timestamp, and every byte is a pure
 function of ``(seed, cases, tier)`` — so the *pack fingerprint* (sha256
 over the sorted relative paths and content hashes of every file except the
 manifest itself) is byte-identical across processes and machines.  The
-server serves packs by fingerprint; ``thalia perf collect`` replays them.
+server serves packs by fingerprint; :func:`load_pack` reads one back.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def write_pack(pack: Pack, directory: str | Path) -> Path:
 
 
 # --------------------------------------------------------------------------- #
-# Reading packs back (the perf collector's input)
+# Reading packs back
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)

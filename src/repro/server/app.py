@@ -15,7 +15,6 @@ import contextlib
 import gzip
 import io
 import logging
-import os
 import socket
 import socketserver
 import threading
@@ -47,10 +46,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SCORES_FILE = "thalia_honor_roll.jsonl"
 
-#: Where the committed perf baseline lives unless overridden
-#: (``THALIA_PERF_BASELINE`` or the ``perf_baseline=`` app argument).
-DEFAULT_PERF_BASELINE = "PERF_BASELINE.json"
-
 #: Bodies below this aren't worth a gzip round trip.
 GZIP_MIN_BYTES = 256
 
@@ -72,7 +67,6 @@ class ThaliaApp:
                  store: HonorRollStore | None = None,
                  scores_path: str | Path = DEFAULT_SCORES_FILE,
                  query_workers: int = 4,
-                 perf_baseline: str | Path | None = None,
                  fleet=None) -> None:
         self.testbed = testbed if testbed is not None else shared_testbed()
         # Optional multiprocess worker fleet (repro.server.fleet): when
@@ -104,16 +98,6 @@ class ThaliaApp:
         self.query_workers = max(1, int(query_workers))
         self._query_pool: ThreadPoolExecutor | None = None
         self._query_pool_lock = threading.Lock()
-        # Last committed perf snapshot (see repro.perf): /api/stats links
-        # its summary so operators can see which trajectory point the
-        # running build is gated against.  Resolution order: explicit
-        # argument, $THALIA_PERF_BASELINE, PERF_BASELINE.json in cwd.
-        self.perf_baseline_path = Path(
-            perf_baseline
-            or os.environ.get("THALIA_PERF_BASELINE")
-            or DEFAULT_PERF_BASELINE)
-        self._perf_summary: tuple[float, dict] | None = None
-        self._perf_summary_lock = threading.Lock()
         # Generated scenario packs (POST /api/scenarios), keyed by pack
         # fingerprint: {"bundle": CacheEntry, "summary": dict}.  Bounded,
         # so a chatty client cannot grow server memory without limit.
@@ -134,42 +118,6 @@ class ThaliaApp:
         self._planner_counters = {"explains": 0, "analyzed_explains": 0}
         self._planner_q_errors: deque[float] = deque(
             maxlen=MAX_PLANNER_ERRORS)
-
-    def perf_summary(self) -> dict:
-        """Summary of the committed perf baseline for ``/api/stats``.
-
-        Loaded lazily and memoized per file mtime, so the stats endpoint
-        never re-parses an unchanged snapshot but does pick up a newly
-        committed one without a restart.  A missing or invalid baseline
-        is reported, not raised — stats must stay cheap and total.
-        """
-        from ..perf.schema import (
-            KIND_SNAPSHOT,
-            SchemaError,
-            load_document,
-            summarize_snapshot,
-        )
-
-        path = self.perf_baseline_path
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            return {"baseline": None,
-                    "reason": f"no snapshot at {path}"}
-        with self._perf_summary_lock:
-            if self._perf_summary is not None \
-                    and self._perf_summary[0] == mtime:
-                return self._perf_summary[1]
-        try:
-            doc = load_document(path, expect_kind=KIND_SNAPSHOT)
-            summary = {"baseline": str(path),
-                       **summarize_snapshot(doc, path)}
-        except SchemaError as exc:
-            summary = {"baseline": str(path), "invalid": True,
-                       "reason": str(exc)}
-        with self._perf_summary_lock:
-            self._perf_summary = (mtime, summary)
-        return summary
 
     @property
     def statistics(self):
@@ -195,22 +143,11 @@ class ThaliaApp:
         """Fold the per-operator q-errors of *plan*'s analyzed run into
         the stats window; a replayed explain carries no new run, so only
         a build calls this."""
-        from ..xquery import q_error
+        from ..xquery.cost import operator_q_errors
 
         if not plan.costed:
             return
-        errors: list[float] = []
-
-        def walk(entry: dict) -> None:
-            estimated = entry.get("estimated", {})
-            actual = entry.get("actual")
-            est_rows = estimated.get("est_rows")
-            if est_rows is not None and actual is not None:
-                errors.append(q_error(est_rows, actual["rows"]))
-            for child in entry.get("children", ()):
-                walk(child)
-
-        walk(plan.explain_data(analyze=True)["root"])
+        errors = operator_q_errors(plan.explain_data(analyze=True))
         with self._planner_lock:
             self._planner_q_errors.extend(errors)
 

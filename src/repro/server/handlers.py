@@ -271,7 +271,6 @@ def build_router() -> Router:
                 "per_document": indexes,
             },
         }
-        payload["perf"] = app.perf_summary()
         payload["scenarios"] = app.scenario_stats()
         payload["planner"] = app.planner_stats()
         payload["fleet"] = app.fleet.stats() if app.fleet is not None \

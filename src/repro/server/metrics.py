@@ -43,8 +43,7 @@ class LatencyReservoir:
     ``capacity / n``, so at any point the reservoir is a uniform sample
     of everything seen and memory never exceeds ``capacity`` floats.
     The RNG is seeded deterministically (per reservoir) so identical
-    request streams yield identical snapshots — tests and the perf
-    framework can rely on reproducibility.
+    request streams yield identical snapshots, which tests rely on.
 
     Not thread-safe by itself; callers (``ServerMetrics``, the fleet)
     already serialize recording under their own lock.
@@ -136,7 +135,9 @@ class ServerMetrics:
         from the hit-rate denominator.
         """
         with self._lock:
-            stats = self._endpoints.setdefault(endpoint, EndpointStats())
+            stats = self._endpoints.get(endpoint)
+            if stats is None:
+                stats = self._endpoints[endpoint] = EndpointStats()
             stats.requests += 1
             if status >= 400:
                 stats.errors += 1

@@ -1,6 +1,7 @@
 """Maintenance tools that are part of the repo's workflow, not its API.
 
-* :mod:`repro.tools.regen_golden` — recompute the golden-snapshot
-  fingerprints the conformance suite pins (``python -m
-  repro.tools.regen_golden`` after an intentional pipeline change).
+* :mod:`repro.tools.regen_golden` — rewrite every golden the
+  conformance suite pins: artifact fingerprints and the rule-based and
+  costed explain texts (``python -m repro.tools.regen_golden`` after an
+  intentional change).
 """

@@ -197,8 +197,8 @@ class DocumentIndex:
     # -- metrics ---------------------------------------------------------- #
 
     def reset_counters(self) -> None:
-        """Zero the lookup counters so repeated perf collections measure
-        only their own window instead of accumulating forever."""
+        """Zero the lookup counters so a measurement counts only its
+        own window instead of accumulating forever."""
         self.child_lookups = 0
         self.descendant_lookups = 0
         self.string_lookups = 0

@@ -220,19 +220,37 @@ def loop_join_cost(left_rows: float, right_rows: float,
 
 
 # --------------------------------------------------------------------------- #
-# Estimate-quality metric (shared with the perf reporter)
+# Estimate-quality metric (shared with /api/stats and the plan goldens)
 # --------------------------------------------------------------------------- #
 
 def q_error(estimated: float, actual: float) -> float:
     """The symmetric cardinality-estimate error ``max(e/a, a/e)``.
 
     Both sides are shifted by one so zero-row operators stay finite;
-    1.0 is a perfect estimate, and the perf reporter flags rows whose
-    worst operator q-error grew past its gate.
+    1.0 is a perfect estimate.  ``/api/stats`` reports its quantiles,
+    and the costed explain goldens bound it per operator.
     """
     est = max(0.0, float(estimated)) + 1.0
     act = max(0.0, float(actual)) + 1.0
     return max(est / act, act / est)
+
+
+def operator_q_errors(explain_data: dict) -> list[float]:
+    """The q-error of every operator in an analyzed explain tree
+    (:meth:`~repro.xquery.plan.Plan.explain_data` with ``analyze=True``)
+    that carries both a row estimate and an actual row count."""
+    errors: list[float] = []
+
+    def walk(entry: dict) -> None:
+        est_rows = entry.get("estimated", {}).get("est_rows")
+        actual = entry.get("actual")
+        if est_rows is not None and actual is not None:
+            errors.append(q_error(est_rows, actual["rows"]))
+        for child in entry["children"]:
+            walk(child)
+
+    walk(explain_data["root"])
+    return errors
 
 
 __all__ = [
@@ -258,6 +276,7 @@ __all__ = [
     "join_selectivity",
     "like_selectivity",
     "loop_join_cost",
+    "operator_q_errors",
     "q_error",
     "range_selectivity",
     "scan_step_cost",

@@ -90,9 +90,9 @@ class FunctionRegistry:
 
         Implementations are named by ``module.qualname`` instead of
         ``id()``, so two interpreter runs that register the same functions
-        agree on the token.  This is the identity the perf framework
-        stamps into snapshots (:mod:`repro.perf`): a committed baseline
-        must compare equal to a fresh collect on another machine.  It is
+        agree on the token.  :attr:`Plan.identity` mixes it in, and the
+        costed explain goldens pin that identity: a golden written in one
+        process must compare equal to a fresh compile in another.  It is
         deliberately *not* the cache key — distinct closures can share a
         qualname, and caches must never conflate them — so
         :meth:`fingerprint` keeps keying the plan and result caches.

@@ -1383,7 +1383,7 @@ class _Lowerer:
       becomes an :class:`IndexedPathOp`.  ``index_paths=False``
       disables it: a test-only perturbation knob (see
       :func:`compile_query`) that forces a visibly different, slower
-      plan so the perf regression gate can be exercised end to end.
+      plan so the plan goldens can be shown to catch a plan change.
     """
 
     def __init__(self, functions: FunctionRegistry,
@@ -2566,12 +2566,12 @@ class Plan:
 
         sha256 over the query source and the registry's *stable*
         fingerprint (``module.qualname`` names, not ``id()``), so two
-        interpreter runs — today's collect and last month's committed
-        baseline — agree on whether they compiled the same plan.  Costed
+        interpreter runs — today's compile and the one that wrote a
+        golden last month — agree on whether they compiled the same plan.  Costed
         plans additionally mix in the statistics fingerprint: a plan
         whose physical choices were driven by different statistics is a
-        different plan.  The perf framework stores this as
-        ``plan_fingerprint``; in-process caches keep keying on
+        different plan.  The costed explain goldens pin it on their
+        ``identity:`` line; in-process caches keep keying on
         :attr:`fingerprint`.
         """
         if self._identity is None:
@@ -2786,9 +2786,9 @@ def compile_query(source: str,
     toggle that disables the index-path rewrite, yielding a deliberately
     different (and slower) plan; it wins over ``statistics`` — a
     perturbed plan is the forced-tree-scan reference the costed path is
-    differentially tested against.  The perf framework uses it to prove
-    the regression gate fires; perturbed plans are never cached, so
-    production paths cannot pick one up.
+    differentially tested against, and the plan a test compiles to show
+    the costed explain goldens catch a plan change; perturbed plans are
+    never cached, so production paths cannot pick one up.
 
     ``join_search=False`` disables only the join-order/hash-join pass of
     the costed planner (meaningless without ``statistics``): the result

@@ -176,7 +176,8 @@ class DocumentStats:
         subtree ratios and leave the estimates untouched.  Value
         samples — and therefore selectivities and answers — are
         untouched, which is exactly the injected cardinality-estimate
-        regression the perf gate must flag.
+        regression the costed explain goldens and their q-error bound
+        must catch.
         """
         return DocumentStats(
             name=self.name, root_tag=self.root_tag,

@@ -73,3 +73,26 @@ class TestServerMetricsBounded:
         assert set(latency) == {"mean", "p50", "p95", "p99"}
         assert latency["p50"] <= latency["p95"] <= latency["p99"]
         assert latency["p99"] > 0
+
+    def test_stats_built_only_on_an_endpoints_first_request(
+            self, monkeypatch):
+        """``record`` builds an endpoint's stats (and their seeded
+        reservoir) once, not as a throwaway default on every request."""
+        from repro.server import metrics as metrics_module
+
+        built = []
+
+        class CountingStats(metrics_module.EndpointStats):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "EndpointStats", CountingStats)
+        metrics = ServerMetrics()
+        metrics.record("healthz", 200, 0.001, cache_hit=None, bytes_sent=1)
+        assert len(built) == 1
+        for _ in range(5):
+            metrics.record("healthz", 200, 0.001, cache_hit=None,
+                           bytes_sent=1)
+        assert len(built) == 1
+        assert metrics.snapshot()["endpoints"]["healthz"]["requests"] == 6
